@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -268,7 +269,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 
 // ——— Sparse end-to-end analysis: CSR vs Dense at scale ———
 
-// BenchmarkSparseAnalysis measures Profile + ClassifyBehavior on the
+// BenchmarkSparseAnalysis measures ProfileOf + ClassifyBehaviorOf on the
 // same scenario-generated traffic matrix through both
 // representations at 1k/10k/50k hosts. The Dense path scans all n²
 // cells; the CSR path visits stored entries through the
@@ -296,8 +297,8 @@ func BenchmarkSparseAnalysis(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p := matrix.NewProfile(d)
-					beh, _ := patterns.ClassifyBehavior(d, zones)
+					p := matrix.ProfileOf(d)
+					beh, _ := patterns.ClassifyBehaviorOf(d, zones)
 					if p.N < 0 || beh == patterns.BehaviorUnknown {
 						b.Fatal("dense analysis failed")
 					}
@@ -513,7 +514,7 @@ func BenchmarkCOOMerge(b *testing.B) {
 			b.StopTimer()
 			parts := build()
 			b.StartTimer()
-			if _, err := matrix.MergeCOO(parts...); err != nil {
+			if _, err := matrix.MergeCOOArena(context.Background(), nil, parts...); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,16 +11,15 @@ import (
 // loadFile is the combined load snapshot a CI smoke job assembles.
 // Two shapes exist, distinguished by which fields are present:
 //
-//   - PR 8 (sharded core):   {"single": …, "sharded": …}
+//   - PR 8 (single process): {"single": …}
 //   - PR 9 (cluster proxy):  {"direct": …, "proxy": …, "membership": …}
 //
-// where direct is twload against one backend twserve, proxy is the
-// same load through `twserve -proxy` fronting the backends, and
-// membership is a proxy run during which a backend was added and
-// removed mid-load.
+// where single is twload against one twserve, direct is the same
+// load against one backend twserve, proxy is that load through
+// `twserve -proxy` fronting the backends, and membership is a proxy
+// run during which a backend was added and removed mid-load.
 type loadFile struct {
-	Single  *loadreport.Summary `json:"single,omitempty"`
-	Sharded *loadreport.Summary `json:"sharded,omitempty"`
+	Single *loadreport.Summary `json:"single,omitempty"`
 
 	Direct     *loadreport.Summary `json:"direct,omitempty"`
 	Proxy      *loadreport.Summary `json:"proxy,omitempty"`
@@ -39,13 +38,12 @@ type loadFile struct {
 //     steady-state run (the cache and spec affinity are working — a
 //     misrouted respelling or a poisoned cache collapses this gap;
 //     the churning membership run is exempt from latency shape);
-//   - sharded throughput ≥ minSpeedup × single (PR 8 pair);
 //   - proxy cold p50 ≤ maxOverhead × direct cold p50 (the HTTP hop
 //     may tax the compute-bound floor only so much);
 //   - the proxy run's warm-class cache hit rate ≥ minHitRate (ring
 //     affinity holds across processes: warm repeats keep landing on
 //     the backend already holding the run).
-func runLoadGate(path string, warmFactor, minSpeedup, maxOverhead, minHitRate float64) int {
+func runLoadGate(path string, warmFactor, maxOverhead, minHitRate float64) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: read load snapshot: %v\n", err)
@@ -75,7 +73,6 @@ func runLoadGate(path string, warmFactor, minSpeedup, maxOverhead, minHitRate fl
 		steady bool
 	}{
 		{"single", lf.Single, true},
-		{"sharded", lf.Sharded, true},
 		{"direct", lf.Direct, true},
 		{"proxy", lf.Proxy, true},
 		{"membership", lf.Membership, false},
@@ -104,12 +101,6 @@ func runLoadGate(path string, warmFactor, minSpeedup, maxOverhead, minHitRate fl
 	if present == 0 {
 		fmt.Fprintf(os.Stderr, "benchguard: %s holds no load runs benchguard knows\n", path)
 		return 2
-	}
-
-	if lf.Single != nil && lf.Sharded != nil && lf.Single.Throughput > 0 {
-		check(lf.Sharded.Throughput >= minSpeedup*lf.Single.Throughput,
-			"sharded throughput %.1f req/s ≥ %g × single %.1f req/s",
-			lf.Sharded.Throughput, minSpeedup, lf.Single.Throughput)
 	}
 
 	if lf.Direct != nil && lf.Proxy != nil {

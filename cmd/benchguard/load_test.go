@@ -8,9 +8,9 @@ import (
 )
 
 // gate runs the load gate with the default thresholds CI uses.
-func gate(t *testing.T, lf loadFile, warmFactor, minSpeedup float64) int {
+func gate(t *testing.T, lf loadFile, warmFactor float64) int {
 	t.Helper()
-	return runLoadGate(writeLoad(t, lf), warmFactor, minSpeedup, 3.0, 0.5)
+	return runLoadGate(writeLoad(t, lf), warmFactor, 3.0, 0.5)
 }
 
 // mkSummary builds one healthy run summary.
@@ -27,7 +27,7 @@ func mkSummary(workers int, rps float64) *loadreport.Summary {
 
 // goodLoad builds a PR 8-shape snapshot satisfying every invariant.
 func goodLoad() loadFile {
-	return loadFile{Single: mkSummary(1, 50), Sharded: mkSummary(4, 120)}
+	return loadFile{Single: mkSummary(1, 50)}
 }
 
 // goodProxyLoad builds a PR 9-shape snapshot (direct vs proxy plus a
@@ -50,16 +50,16 @@ func writeLoad(t *testing.T, lf loadFile) string {
 }
 
 func TestLoadGatePasses(t *testing.T) {
-	if code := gate(t, goodLoad(), 10, 1.0); code != 0 {
+	if code := gate(t, goodLoad(), 10); code != 0 {
 		t.Fatalf("healthy snapshot exited %d", code)
 	}
 }
 
 func TestLoadGateFailsOnErrors(t *testing.T) {
 	lf := goodLoad()
-	lf.Sharded.Errors = 3
-	if code := gate(t, lf, 10, 1.0); code != 1 {
-		t.Fatalf("errors in sharded run exited %d, want 1", code)
+	lf.Single.Errors = 3
+	if code := gate(t, lf, 10); code != 1 {
+		t.Fatalf("errors in single run exited %d, want 1", code)
 	}
 }
 
@@ -71,53 +71,35 @@ func TestLoadGateFailsOnCollapsedWarmColdGap(t *testing.T) {
 			lf.Single.Classes[i].P50Ms = 100
 		}
 	}
-	if code := gate(t, lf, 10, 1.0); code != 1 {
+	if code := gate(t, lf, 10); code != 1 {
 		t.Fatalf("collapsed warm/cold gap exited %d, want 1", code)
-	}
-}
-
-func TestLoadGateFailsOnThroughputRegression(t *testing.T) {
-	lf := goodLoad()
-	lf.Sharded.Throughput = 30 // below the single worker's 50
-	if code := gate(t, lf, 10, 1.0); code != 1 {
-		t.Fatalf("sharded slower than single exited %d, want 1", code)
 	}
 }
 
 func TestLoadGateFailsOnEmptyRun(t *testing.T) {
 	lf := goodLoad()
 	lf.Single = &loadreport.Summary{}
-	if code := gate(t, lf, 10, 1.0); code != 1 {
+	if code := gate(t, lf, 10); code != 1 {
 		t.Fatalf("empty single run exited %d, want 1", code)
 	}
 }
 
-func TestLoadGateHonorsMinSpeedup(t *testing.T) {
-	lf := goodLoad() // sharded 120 vs single 50 = 2.4×
-	if code := gate(t, lf, 10, 2.0); code != 0 {
-		t.Fatalf("2.4× speedup failed a 2.0 floor (exit %d)", code)
-	}
-	if code := gate(t, lf, 10, 3.0); code != 1 {
-		t.Fatalf("2.4× speedup passed a 3.0 floor (exit %d)", code)
-	}
-}
-
 func TestLoadGateRejectsGarbage(t *testing.T) {
-	if code := runLoadGate(writeTemp(t, "bad.json", "{not json"), 10, 1.0, 3.0, 0.5); code != 2 {
+	if code := runLoadGate(writeTemp(t, "bad.json", "{not json"), 10, 3.0, 0.5); code != 2 {
 		t.Fatalf("garbage snapshot exited %d, want 2", code)
 	}
-	if code := runLoadGate("/nonexistent/load.json", 10, 1.0, 3.0, 0.5); code != 2 {
+	if code := runLoadGate("/nonexistent/load.json", 10, 3.0, 0.5); code != 2 {
 		t.Fatalf("missing snapshot exited %d, want 2", code)
 	}
 	// A JSON object holding none of the known run shapes is equally
 	// unusable — the guard must not silently pass by checking nothing.
-	if code := runLoadGate(writeTemp(t, "empty.json", "{}"), 10, 1.0, 3.0, 0.5); code != 2 {
+	if code := runLoadGate(writeTemp(t, "empty.json", "{}"), 10, 3.0, 0.5); code != 2 {
 		t.Fatalf("runless snapshot exited %d, want 2", code)
 	}
 }
 
 func TestLoadGateProxyPasses(t *testing.T) {
-	if code := gate(t, goodProxyLoad(), 10, 1.0); code != 0 {
+	if code := gate(t, goodProxyLoad(), 10); code != 0 {
 		t.Fatalf("healthy proxy snapshot exited %d", code)
 	}
 }
@@ -131,7 +113,7 @@ func TestLoadGateProxyFailsOnHopOverhead(t *testing.T) {
 			lf.Proxy.Classes[i].P99Ms = 1600
 		}
 	}
-	if code := gate(t, lf, 10, 1.0); code != 1 {
+	if code := gate(t, lf, 10); code != 1 {
 		t.Fatalf("4× hop overhead exited %d, want 1", code)
 	}
 }
@@ -145,7 +127,7 @@ func TestLoadGateProxyFailsOnLostAffinity(t *testing.T) {
 			lf.Proxy.Classes[i].CacheHits = 20
 		}
 	}
-	if code := gate(t, lf, 10, 1.0); code != 1 {
+	if code := gate(t, lf, 10); code != 1 {
 		t.Fatalf("20%% proxy warm hit rate exited %d, want 1", code)
 	}
 }
@@ -158,7 +140,7 @@ func TestLoadGateProxyRequiresCacheCounters(t *testing.T) {
 		lf.Proxy.Classes[i].CacheHits = 0
 		lf.Proxy.Classes[i].CacheLookups = 0
 	}
-	if code := gate(t, lf, 10, 1.0); code != 1 {
+	if code := gate(t, lf, 10); code != 1 {
 		t.Fatalf("counterless proxy snapshot exited %d, want 1", code)
 	}
 }
@@ -172,11 +154,11 @@ func TestLoadGateMembershipChurnExemptFromLatencyShape(t *testing.T) {
 			lf.Membership.Classes[i].P50Ms = 150
 		}
 	}
-	if code := gate(t, lf, 10, 1.0); code != 0 {
+	if code := gate(t, lf, 10); code != 0 {
 		t.Fatalf("churny-but-clean membership run exited %d, want 0", code)
 	}
 	lf.Membership.Errors = 1
-	if code := gate(t, lf, 10, 1.0); code != 1 {
+	if code := gate(t, lf, 10); code != 1 {
 		t.Fatalf("membership run with a dropped request exited %d, want 1", code)
 	}
 }

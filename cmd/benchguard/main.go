@@ -7,9 +7,8 @@
 //
 // With -load it instead gates a combined twload snapshot, asserting
 // the machine-independent load invariants — zero errors, warm p50
-// far below cold p50, sharded throughput at least matching the
-// single worker. Two snapshot shapes are understood: the sharded-core
-// pair ({"single": …, "sharded": …}, BENCH_PR8.json) and the cluster
+// far below cold p50. Two snapshot shapes are understood: the
+// single-process run ({"single": …}, BENCH_PR8.json) and the cluster
 // proxy triple ({"direct": …, "proxy": …, "membership": …},
 // BENCH_PR9.json), which additionally bounds the proxy's cold-path
 // hop overhead (-max-overhead) and pins the proxy's warm-class cache
@@ -124,12 +123,11 @@ func main() {
 	slack := flag.Int64("slack", 64, "allowed absolute allocs/op growth on top of tolerance")
 	loadPath := flag.String("load", "", "gate a combined twload snapshot instead of allocs/op")
 	warmFactor := flag.Float64("warm-factor", 10, "with -load: required cold-p50 / warm-p50 ratio")
-	minSpeedup := flag.Float64("min-speedup", 1.0, "with -load: required sharded/single throughput ratio")
 	maxOverhead := flag.Float64("max-overhead", 3.0, "with -load: allowed proxy/direct cold-p50 ratio")
 	minHitRate := flag.Float64("min-hit-rate", 0.5, "with -load: required proxy warm-class cache hit rate")
 	flag.Parse()
 	if *loadPath != "" {
-		os.Exit(runLoadGate(*loadPath, *warmFactor, *minSpeedup, *maxOverhead, *minHitRate))
+		os.Exit(runLoadGate(*loadPath, *warmFactor, *maxOverhead, *minHitRate))
 	}
 	if *baseline == "" || *current == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -baseline and -current are both required")

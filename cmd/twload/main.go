@@ -31,7 +31,8 @@
 // harness's benchguard -load mode asserts the invariants that hold on
 // any machine. Before the run twload asks GET /v1/stats for the
 // server's worker count and records it in the summary, making a
-// summary file self-describing when comparing -workers 1 vs 4.
+// summary file self-describing when comparing one twserve against a
+// -proxy fleet.
 package main
 
 import (

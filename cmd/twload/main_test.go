@@ -7,32 +7,27 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/router"
 	"repro/internal/serve"
 )
 
 // testServer serves the real twserve route table (internal/serve)
-// over a worker pool — the exact handler stack twload drives in
+// over one service — the exact handler stack twload drives in
 // production, X-Cache markers included.
-func testServer(t *testing.T, workers int) *httptest.Server {
+func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	core := api.Core(api.New())
-	if workers > 1 {
-		core = router.NewPool(workers)
-	}
-	srv := httptest.NewServer(serve.NewMux(core))
+	srv := httptest.NewServer(serve.NewMux(api.New()))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-// TestRunMixedLoad: one run against a 4-worker fleet completes with
+// TestRunMixedLoad: one run against a single service completes with
 // zero errors, covers the dominant request classes, reports sane
 // percentiles, and exhibits the invariant benchguard -load gates on:
 // repeated specs are served from cache, so warm p50 sits below cold
 // p50. Long enough (4s) that the 20% cold class is sampled even when
 // the race detector slows every request several-fold.
 func TestRunMixedLoad(t *testing.T) {
-	srv := testServer(t, 4)
+	srv := testServer(t)
 	sum, err := run(context.Background(), config{
 		addr:        srv.URL,
 		duration:    4 * time.Second,
@@ -48,8 +43,8 @@ func TestRunMixedLoad(t *testing.T) {
 	if sum.Requests == 0 || sum.Throughput <= 0 {
 		t.Fatalf("no load delivered: %+v", sum)
 	}
-	if sum.Workers != 4 {
-		t.Errorf("probed worker count = %d, want 4", sum.Workers)
+	if sum.Workers != 1 {
+		t.Errorf("probed worker count = %d, want 1", sum.Workers)
 	}
 	if sum.Concurrency != 4 {
 		t.Errorf("summary concurrency = %d", sum.Concurrency)

@@ -6,18 +6,15 @@
 // registry. The route table itself lives in internal/serve; this
 // binary only picks which core to put behind it:
 //
-//	twserve -addr :8080 -workers 4
+//	twserve -addr :8080
 //	twserve -addr :8080 -proxy http://10.0.0.7:8080,http://10.0.0.8:8080
 //
-// With -workers N > 1 the server fronts N in-process api.Service
-// workers through router.Pool: every request routes by its canonical
-// spec hash, so one spec always lands on one worker and the fleet
-// behaves like a single coherent catalog with N caches' worth of
-// parallelism. -workers 1 (the default) serves a single service with
-// no router in the path.
+// Without -proxy the process serves exactly one api.Service; its
+// parallelism comes from the service's lock-striped cache and from
+// chunked generation across all CPUs.
 //
 // With -proxy the server computes nothing itself: it fronts N other
-// twserve *processes* through cluster.Cluster, routing by the same
+// twserve *processes* through cluster.Cluster, routing by a
 // consistent spec-hash ring — so respelled specs and
 // Generate↔Analyze pairs keep hitting the same backend's warm cache,
 // bit-identical to a single process. Proxy mode additionally mounts
@@ -30,7 +27,7 @@
 //
 // See the internal/serve package documentation for the route table
 // and the streaming/cancellation semantics (they are identical in
-// all three modes — a client hanging up mid-stream cancels the run
+// both modes — a client hanging up mid-stream cancels the run
 // end to end, through the proxy hop if there is one).
 package main
 
@@ -42,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -50,15 +46,12 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/player"
-	"repro/internal/router"
 	"repro/internal/serve"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	cacheCap := flag.Int("cache", api.DefaultCacheCapacity, "result cache capacity per worker (0 disables)")
-	workers := flag.Int("workers", 1, "service workers behind the spec-hash router")
-	genWorkers := flag.Int("genworkers", 0, "default generation workers per request (0 = all CPUs)")
+	cacheCap := flag.Int("cache", api.DefaultCacheCapacity, "result cache capacity (0 disables)")
 	proxy := flag.String("proxy", "", "comma-separated backend base URLs; serve as a cluster reverse proxy instead of computing locally")
 	store := flag.String("store", "mem", "player store backend: mem (in-memory) or dir (file-backed)")
 	storeDir := flag.String("store-dir", "players", "player store directory (with -store dir)")
@@ -83,11 +76,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("twserve: %v", err)
 		}
-		handler = newMux(newCore(*workers,
-			api.WithCacheCapacity(*cacheCap),
-			api.WithDefaultWorkers(*genWorkers),
-			api.WithPlayers(players)))
-		mode = "workers " + strconv.Itoa(*workers) + ", store " + *store
+		handler = newMux(api.New(api.WithCacheCapacity(*cacheCap), api.WithPlayers(players)))
+		mode = "store " + *store
 	}
 	srv := newServer(*addr, handler)
 
@@ -127,11 +117,9 @@ func newServer(addr string, h http.Handler) *http.Server {
 	return serve.NewServer(addr, h)
 }
 
-// newPlayerEngine builds the shared player engine from the store and
-// rate-limit flags: one engine per process, handed to every worker
-// (the pool's in-process workers must see one store and one attempt
-// registry — player state is mutable per-user data, not cacheable
-// compute).
+// newPlayerEngine builds the process's player engine from the store
+// and rate-limit flags: player state is mutable per-user data, served
+// beside the result cache rather than through it.
 func newPlayerEngine(store, dir string, rps, burst float64) (*player.Engine, error) {
 	var backing player.Store
 	switch store {
@@ -148,16 +136,6 @@ func newPlayerEngine(store, dir string, rps, burst float64) (*player.Engine, err
 	}
 	return player.NewEngine(backing,
 		player.WithLimiter(player.NewLimiter(rps, burst, player.DefaultMaxBuckets))), nil
-}
-
-// newCore builds the service core the mux serves: a bare service for
-// workers ≤ 1 (no router hop on the single-worker path), a
-// router.Pool above that.
-func newCore(workers int, opts ...api.Option) api.Core {
-	if workers <= 1 {
-		return api.New(opts...)
-	}
-	return router.NewPool(workers, opts...)
 }
 
 // newMux builds the route table over a service core — see

@@ -222,6 +222,48 @@ func TestSessionsAndRootEndpoints(t *testing.T) {
 	}
 }
 
+// TestStatsEndpointReportsFleet: /v1/stats carries one entry per
+// worker with a per-stripe cache breakdown — the observability
+// surface the load harness scrapes. A twserve process serves one
+// service, so its fleet is the single worker 0.
+func TestStatsEndpointReportsFleet(t *testing.T) {
+	srv := newTestServer(t)
+	// Warm a few specs so the counters are non-trivial.
+	for _, spec := range []string{"scan", "ddos", "worm"} {
+		resp := postJSON(t, srv.URL+"/v1/generate",
+			api.GenerateRequest{Spec: spec, Seed: 1, Workers: 1, Duration: 4})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", spec, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rep := decode[api.StatsReport](t, resp)
+	if rep.Version != api.Version || len(rep.Workers) != 1 || rep.Workers[0].Worker != 0 {
+		t.Fatalf("single-worker stats = version %q, %+v", rep.Version, rep.Workers)
+	}
+	if w := rep.Workers[0]; len(w.Cache.Shards) == 0 || w.Cache.Len != 3 {
+		t.Errorf("worker 0: %d shards holding %d cached runs, want a breakdown holding 3", len(w.Cache.Shards), w.Cache.Len)
+	}
+}
+
+// TestRootRouteListsStats keeps the index honest about the new route.
+func TestRootRouteListsStats(t *testing.T) {
+	srv := newTestServer(t)
+	resp, err := http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	idx := decode[map[string]string](t, resp)
+	if !strings.Contains(idx["routes"], "/v1/stats") {
+		t.Errorf("root route listing omits /v1/stats: %q", idx["routes"])
+	}
+}
+
 // TestGenerateEndpointIncludeMatrices: the wire form can carry the
 // dense grids when asked.
 func TestGenerateEndpointIncludeMatrices(t *testing.T) {

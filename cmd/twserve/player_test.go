@@ -21,13 +21,12 @@ func newPlayerServer(t *testing.T, eng *player.Engine) *httptest.Server {
 	return srv
 }
 
-// TestHealthzEndpoint: the liveness probe answers statically in every
-// topology — no core round-trip, so CI's boot-wait can poll it before
-// the first (possibly expensive) real request.
+// TestHealthzEndpoint: the liveness probe answers statically — no
+// core round-trip, so CI's boot-wait can poll it before the first
+// (possibly expensive) real request.
 func TestHealthzEndpoint(t *testing.T) {
 	for name, srv := range map[string]*httptest.Server{
 		"single": newTestServer(t),
-		"pool":   newPoolServer(t, 4),
 	} {
 		resp, err := http.Get(srv.URL + "/v1/healthz")
 		if err != nil {

@@ -106,7 +106,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hubs := matrix.Supernodes(mat, patterns.SupernodeFanThreshold)
+	hubs := matrix.SupernodesOf(mat, patterns.SupernodeFanThreshold)
 	if len(hubs) == 0 {
 		log.Fatal("challenge module lost its attack signal")
 	}

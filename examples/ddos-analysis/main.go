@@ -56,7 +56,7 @@ func main() {
 	fmt.Println("\nanalyst reading, window by window:")
 	recovered := 0
 	for i, w := range windows {
-		component, conf := patterns.ClassifyDDoS(w.Matrix, roles)
+		component, conf := patterns.ClassifyDDoSOf(w.Matrix, roles)
 		truth := phases[i].Component
 		ok := component == truth
 		if ok {

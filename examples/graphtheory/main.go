@@ -35,7 +35,7 @@ func main() {
 		fmt.Println(fb.Text())
 
 		kind := patterns.ClassifyGraph(m)
-		p := matrix.NewProfile(m)
+		p := matrix.ProfileOf(m)
 		tri, err := matrix.TriangleCount(m)
 		if err != nil {
 			log.Fatal(err)

@@ -9,9 +9,10 @@ import (
 )
 
 // Core is the full façade surface a front-end serves: every request
-// method plus the observability probes. A single *Service implements
-// it, and so does router.Pool — which is what lets twserve swap one
-// worker for a sharded fleet without the route table noticing.
+// method plus the observability probes. A *Service implements it,
+// and so does cluster.Cluster — which is what lets twserve front
+// either one local service or a proxied fleet of twserve processes
+// without the route table noticing.
 type Core interface {
 	Generate(ctx context.Context, req GenerateRequest) (*GenerateResult, error)
 	GenerateStream(ctx context.Context, req GenerateRequest, emit func(StreamFrame) error) error
@@ -74,9 +75,9 @@ type ClusterStats struct {
 
 // StatsReport is the /v1/stats payload: per-worker, per-shard
 // observability for a served deployment. A single service reports
-// one worker; a router pool reports one entry per worker; a cluster
-// proxy reports every backend's workers (renumbered fleet-wide,
-// each tagged with its backend URL) plus the Cluster rollup.
+// one worker; a cluster proxy reports every backend's workers
+// (renumbered fleet-wide, each tagged with its backend URL) plus the
+// Cluster rollup.
 type StatsReport struct {
 	Version string        `json:"version"`
 	Workers []WorkerStats `json:"workers"`

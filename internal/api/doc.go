@@ -44,10 +44,9 @@
 // group are lock-striped (see sharded.go): a key's stripe is a pure
 // function of its avalanche-finalized hash, so concurrent requests
 // contend only on stripe collisions, never on one global mutex. The
-// Core interface names the full serving surface; internal/router
-// fronts N Services with a consistent spec-hash ring behind the same
-// interface, which is how `twserve -workers N` scales out. RouteKey
-// on each request type exposes the canonical routing identity, and
-// WithSessionIDs lets a fleet share one session-ID source so IDs
-// stay process-unique across workers.
+// Core interface names the full serving surface; internal/cluster
+// fronts N twserve processes with a consistent spec-hash ring behind
+// the same interface, which is how `twserve -proxy` scales out.
+// RouteKey on each request type exposes the canonical routing
+// identity.
 package api

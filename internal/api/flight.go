@@ -20,11 +20,13 @@ type flightGroup struct {
 }
 
 // flightCall is one in-flight computation; done closes when res/err
-// are final.
+// are final. waiters counts the callers that joined it instead of
+// leading, changed under the group's mu.
 type flightCall struct {
-	done chan struct{}
-	res  any
-	err  error
+	done    chan struct{}
+	res     any
+	err     error
+	waiters int
 }
 
 // do runs fn for key, unless another caller is already running it —
@@ -39,6 +41,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 			g.calls = make(map[string]*flightCall)
 		}
 		if c, ok := g.calls[key]; ok {
+			c.waiters++
 			g.mu.Unlock()
 			select {
 			case <-c.done:

@@ -13,9 +13,8 @@ import (
 // are plain JSON structs, results carry the api version, and errors
 // wrap the player package's sentinels (which serve maps to 400, 404,
 // 409, and 429). Every result is a pure function of store state and
-// the request sequence — no timestamps — so a sharded pool or a
-// cluster proxy serves player traffic bit-identically to a single
-// process.
+// the request sequence — no timestamps — so a cluster proxy serves
+// player traffic bit-identically to a single process.
 
 // PlayerCreateRequest registers a new player. A zero Course enrolls
 // the default campaign.
@@ -155,10 +154,9 @@ func (svc *Service) PlayerMastery(ctx context.Context) (*MasteryResult, error) {
 }
 
 // playerRouteKey is the routing identity of per-player requests: the
-// player's whole state lives behind one key, so a sharded pool or
-// cluster sends every request touching one player to the same worker
-// — the property that keeps pending attempts and store state
-// coherent.
+// player's whole state lives behind one key, so a cluster sends
+// every request touching one player to the same backend — the
+// property that keeps pending attempts and store state coherent.
 func playerRouteKey(id string) string { return "player|" + strings.TrimSpace(id) }
 
 // RouteKey routes by player identity.

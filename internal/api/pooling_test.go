@@ -102,11 +102,11 @@ func TestCacheHitDefensiveCopies(t *testing.T) {
 // own error back (not a bare context.Canceled), must see no further
 // frames, and must leave no session behind.
 func TestStreamEmitFailurePostFirstFrame(t *testing.T) {
-	svc := New(WithDefaultWorkers(4))
+	svc := New()
 	boom := errors.New("consumer hung up")
 	var frames []string
 	windowsSeen := 0
-	req := NewGenerateRequest("background", WithSeed(5), WithParams(120, 40, 1), WithWindow(2))
+	req := NewGenerateRequest("background", WithSeed(5), WithParams(120, 40, 1), WithWindow(2), WithWorkers(4))
 	err := svc.GenerateStream(context.Background(), req, func(f StreamFrame) error {
 		frames = append(frames, f.Type)
 		if f.Type == FrameWindow {
@@ -137,14 +137,14 @@ func TestStreamEmitFailurePostFirstFrame(t *testing.T) {
 // design: any slab recycled while a response still referenced it
 // shows up as a data race or a JSON mismatch.
 func TestPooledMatchesReference(t *testing.T) {
-	pooled := New(WithDefaultWorkers(4))
-	ref := New(WithoutPooling(), WithDefaultWorkers(4))
+	pooled := New()
+	ref := New(WithoutPooling())
 
 	reqs := []GenerateRequest{
-		NewGenerateRequest("scan", WithSeed(1), WithHosts(40), WithParams(8, 20, 1), WithWindow(2)),
-		NewGenerateRequest("background", WithSeed(2), WithHosts(60), WithParams(10, 30, 1), WithWindow(5)),
-		NewGenerateRequest("attack", WithSeed(3), WithHosts(20), WithParams(12, 4, 1), WithWindow(3)),
-		NewGenerateRequest("overlay(background,scan)", WithSeed(4), WithHosts(40), WithParams(9, 15, 1), WithWindow(3), WithMatrices()),
+		NewGenerateRequest("scan", WithSeed(1), WithHosts(40), WithParams(8, 20, 1), WithWindow(2), WithWorkers(4)),
+		NewGenerateRequest("background", WithSeed(2), WithHosts(60), WithParams(10, 30, 1), WithWindow(5), WithWorkers(4)),
+		NewGenerateRequest("attack", WithSeed(3), WithHosts(20), WithParams(12, 4, 1), WithWindow(3), WithWorkers(4)),
+		NewGenerateRequest("overlay(background,scan)", WithSeed(4), WithHosts(40), WithParams(9, 15, 1), WithWindow(3), WithMatrices(), WithWorkers(4)),
 	}
 
 	const goroutines = 8

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,26 +64,21 @@ type sessionShard struct {
 	active map[int64]*session
 }
 
-// sessionStore is the lock-striped SessionStore. IDs come from an
-// atomic counter (optionally shared with other stores — a router
-// pool hands every worker the same source so IDs are unique across
-// the whole process), and a session lives on the stripe its ID masks
-// to, so CancelByID goes straight to one stripe without scanning.
+// sessionStore is the lock-striped SessionStore. IDs come from the
+// store's own atomic counter, and a session lives on the stripe its
+// ID masks to, so CancelByID goes straight to one stripe without
+// scanning.
 type sessionStore struct {
-	ids    *sessionIDSource
+	ids    atomic.Int64
 	shards []*sessionShard
 	mask   uint64
 }
 
 // newSessionStore builds a store striped over nshards (rounded up to
-// a power of two), drawing IDs from ids — or from a fresh private
-// counter when ids is nil.
-func newSessionStore(nshards int, ids *sessionIDSource) *sessionStore {
-	if ids == nil {
-		ids = new(sessionIDSource)
-	}
+// a power of two).
+func newSessionStore(nshards int) *sessionStore {
 	n := nextPow2(max(1, nshards))
-	r := &sessionStore{ids: ids, shards: make([]*sessionShard, n), mask: uint64(n - 1)}
+	r := &sessionStore{shards: make([]*sessionShard, n), mask: uint64(n - 1)}
 	for i := range r.shards {
 		r.shards[i] = &sessionShard{active: make(map[int64]*session)}
 	}

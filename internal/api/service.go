@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bridge"
@@ -25,14 +24,12 @@ const DefaultCacheCapacity = 64
 // command invocation (the CLIs). All methods are safe for concurrent
 // use.
 type Service struct {
-	cacheCap   int
-	workers    int
-	shards     int
-	noPooling  bool
-	sessionIDs *sessionIDSource
-	cache      ResultCache
-	sessions   SessionStore
-	flights    *shardedFlights
+	cacheCap  int
+	shards    int
+	noPooling bool
+	cache     ResultCache
+	sessions  SessionStore
+	flights   *shardedFlights
 	// players is the account layer (see internal/player): mutable
 	// per-user state served beside — never through — the result
 	// cache.
@@ -55,10 +52,6 @@ type Option func(*Service)
 // disables caching.
 func WithCacheCapacity(n int) Option { return func(s *Service) { s.cacheCap = n } }
 
-// WithDefaultWorkers sets the worker count used when a request
-// leaves Workers at 0 (which otherwise selects all CPUs).
-func WithDefaultWorkers(n int) Option { return func(s *Service) { s.workers = n } }
-
 // WithoutPooling disables the buffer arena: every request allocates
 // fresh, exactly the pre-arena behaviour. The output is bit-identical
 // either way; the option exists for A/B benchmarking and as the
@@ -72,12 +65,6 @@ func WithoutPooling() Option { return func(s *Service) { s.noPooling = true } }
 // the parity suite compares against.
 func WithShards(n int) Option { return func(s *Service) { s.shards = n } }
 
-// WithSessionIDs makes the service draw session IDs from a shared
-// atomic counter instead of a private one, so several Service
-// workers behind one router hand out process-unique IDs and an
-// operator's CancelSession(id) names exactly one run.
-func WithSessionIDs(ids *atomic.Int64) Option { return func(s *Service) { s.sessionIDs = ids } }
-
 // New builds a Service with the given options.
 func New(opts ...Option) *Service {
 	s := &Service{cacheCap: DefaultCacheCapacity}
@@ -88,7 +75,7 @@ func New(opts ...Option) *Service {
 		s.shards = DefaultShards()
 	}
 	s.cache = newShardedCache(s.cacheCap, s.shards)
-	s.sessions = newSessionStore(s.shards, s.sessionIDs)
+	s.sessions = newSessionStore(s.shards)
 	s.flights = newShardedFlights(s.shards)
 	if !s.noPooling {
 		s.arena = netsim.NewArena()
@@ -119,14 +106,11 @@ func (svc *Service) SessionCount() int { return svc.sessions.Len() }
 // own caller; nothing partial is cached.
 func (svc *Service) CancelSession(id int64) bool { return svc.sessions.CancelByID(id) }
 
-// resolveWorkers applies the request → service → all-CPUs default
-// chain.
-func (svc *Service) resolveWorkers(requested int) int {
+// resolveWorkers returns the request's generation worker count, or
+// all CPUs when the request leaves it at 0.
+func resolveWorkers(requested int) int {
 	if requested > 0 {
 		return requested
-	}
-	if svc.workers > 0 {
-		return svc.workers
 	}
 	return runtime.NumCPU()
 }
@@ -225,7 +209,7 @@ func (svc *Service) generate(ctx context.Context, scn netsim.Scenario, canonical
 	if err != nil {
 		return nil, err
 	}
-	workers := svc.resolveWorkers(req.Workers)
+	workers := resolveWorkers(req.Workers)
 	p := req.params().Normalized()
 
 	genStart := time.Now()
@@ -494,7 +478,7 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 	m, _, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "module", key)
 		defer end()
-		m, err := bridge.AggregateModuleContext(fctx, scn, net, req.Seed, svc.resolveWorkers(0), p)
+		m, err := bridge.AggregateModuleContext(fctx, scn, net, req.Seed, runtime.NumCPU(), p)
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}
@@ -533,7 +517,7 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 	c, _, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "campaign", key)
 		defer end()
-		c, err := bridge.CampaignFromScenarioContext(fctx, scn, net, req.Seed, svc.resolveWorkers(0), p, req.Window)
+		c, err := bridge.CampaignFromScenarioContext(fctx, scn, net, req.Seed, runtime.NumCPU(), p, req.Window)
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}

@@ -3,7 +3,6 @@ package api
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 )
 
 // Lock striping for the service's three hot shared tables — the
@@ -176,9 +175,3 @@ func newShardedFlights(nshards int) *shardedFlights {
 func (g *shardedFlights) do(ctx context.Context, key string, fn func() (any, error)) (any, bool, error) {
 	return g.shards[shardHash(key)&g.mask].do(ctx, key, fn)
 }
-
-// sessionIDSource hands out globally unique session IDs. A single
-// service owns its own source; a router pool shares one source
-// across all its workers so an ID names one session process-wide and
-// operator cancellation can be broadcast unambiguously.
-type sessionIDSource = atomic.Int64

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // TestShardedCacheAggregateStats: counters and occupancy aggregate
@@ -136,7 +138,7 @@ func TestShardHashDispersesRealKeys(t *testing.T) {
 // sessions live on different stripes, but the snapshot comes back
 // ordered by ID, so /v1/sessions output is stable.
 func TestSessionSnapshotSortedAcrossShards(t *testing.T) {
-	store := newSessionStore(8, nil)
+	store := newSessionStore(8)
 	var ends []func()
 	for i := 0; i < 50; i++ {
 		_, end := store.Begin(context.Background(), "test", fmt.Sprintf("key-%d", i))
@@ -168,7 +170,7 @@ func TestSessionSnapshotSortedAcrossShards(t *testing.T) {
 // right stripe and surfaces ErrSessionCancelled as the context
 // cause, whichever shard the session lives on.
 func TestSessionCancelByIDAcrossShards(t *testing.T) {
-	store := newSessionStore(8, nil)
+	store := newSessionStore(8)
 	type live struct {
 		ctx context.Context
 		end func()
@@ -198,7 +200,7 @@ func TestSessionCancelByIDAcrossShards(t *testing.T) {
 // CancelByID at random live-or-dead IDs and a reader snapshots. The
 // store must stay consistent and drain to empty.
 func TestSessionChurnAndCancelRace(t *testing.T) {
-	store := newSessionStore(8, nil)
+	store := newSessionStore(8)
 	var churn, aux sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -256,30 +258,28 @@ func TestSessionChurnAndCancelRace(t *testing.T) {
 	}
 }
 
-// TestServiceSharesSessionIDSource: two services on one ID source
-// never mint the same session ID — the invariant a router pool needs
-// for process-unique cancellation.
-func TestServiceSharesSessionIDSource(t *testing.T) {
-	var ids sessionIDSource
-	a := newSessionStore(4, &ids)
-	b := newSessionStore(4, &ids)
-	var ends []func()
-	for i := 0; i < 20; i++ {
-		_, endA := a.Begin(context.Background(), "a", "k")
-		_, endB := b.Begin(context.Background(), "b", "k")
-		ends = append(ends, endA, endB)
+// TestShardedServiceMatchesSingleStripe: lock striping moves locks,
+// not data — a default-sharded service answers the whole catalog and
+// composed specs bit-identically to the single-stripe reference.
+func TestShardedServiceMatchesSingleStripe(t *testing.T) {
+	single, sharded := New(WithShards(1)), New()
+	specs := []string{"overlay(background, sequence(scan, ddos))", "amplify(sequence(beacon@5s, exfil), 3)"}
+	for _, s := range netsim.Scenarios() {
+		specs = append(specs, s.Name())
 	}
-	seen := map[int64]string{}
-	for _, s := range a.Snapshot() {
-		seen[s.ID] = "a"
-	}
-	for _, s := range b.Snapshot() {
-		if who, dup := seen[s.ID]; dup {
-			t.Fatalf("ID %d minted by both %s and b", s.ID, who)
+	for _, spec := range specs {
+		req := NewGenerateRequest(spec, WithSeed(5), WithHosts(20), WithParams(6, 20, 1), WithWindow(3), WithMatrices())
+		a, err := single.Generate(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: single stripe: %v", spec, err)
 		}
-	}
-	for _, end := range ends {
-		end()
+		b, err := sharded.Generate(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: sharded: %v", spec, err)
+		}
+		if normalizeResult(t, a) != normalizeResult(t, b) {
+			t.Errorf("%s: sharded result differs from the single-stripe result", spec)
+		}
 	}
 }
 
@@ -307,16 +307,10 @@ func TestShardedFlightsCoalescePerKey(t *testing.T) {
 			}
 		}()
 	}
-	// Let every goroutine reach the flight group before releasing the
-	// leader; a tiny sleep-free sync: close the gate once someone is
-	// inside (runs is incremented by the single leader only).
-	for {
-		mu.Lock()
-		r := runs
-		mu.Unlock()
-		if r >= 1 {
-			break
-		}
+	// Release the leader only once the other nine callers are parked
+	// on its flight: a caller that reached do after the gate opened
+	// would find the flight finished and lead one of its own.
+	for parkedWaiters(g, "same-key") < 9 {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -324,4 +318,16 @@ func TestShardedFlightsCoalescePerKey(t *testing.T) {
 	if runs != 1 {
 		t.Errorf("fn ran %d times for one key, want 1 (coalesced)", runs)
 	}
+}
+
+// parkedWaiters reports how many callers have joined key's in-flight
+// call as waiters (0 when no call is in flight).
+func parkedWaiters(g *shardedFlights, key string) int {
+	fg := &g.shards[shardHash(key)&g.mask]
+	fg.mu.Lock()
+	defer fg.mu.Unlock()
+	if c, ok := fg.calls[key]; ok {
+		return c.waiters
+	}
+	return 0
 }

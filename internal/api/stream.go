@@ -230,7 +230,7 @@ func (svc *Service) GenerateStream(ctx context.Context, req GenerateRequest, emi
 	if err != nil {
 		return err
 	}
-	workers := svc.resolveWorkers(req.Workers)
+	workers := resolveWorkers(req.Workers)
 	p := req.params().Normalized()
 
 	fctx, end := svc.sessions.Begin(ctx, "stream", req.cacheKey(canonical, net.Len()))

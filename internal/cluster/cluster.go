@@ -60,12 +60,11 @@ type member struct {
 // Cluster fronts N backend twserve processes with one api.Core
 // surface, routing every request's canonical RouteKey through a
 // consistent hash ring so respelled specs and Generate↔Analyze pairs
-// keep hitting the same backend's warm cache — the cross-process
-// twin of router.Pool. Membership is live: AddBackend and
-// RemoveBackend grow and shrink the ring under load, moving only the
-// ≤~K/N keyspace slice the ring's property tests bound, and removal
-// drains the departing backend's in-flight requests before its
-// connections are torn down.
+// keep hitting the same backend's warm cache. Membership is live:
+// AddBackend and RemoveBackend grow and shrink the ring under load,
+// moving only the ≤~K/N keyspace slice the ring's property tests
+// bound, and removal drains the departing backend's in-flight
+// requests before its connections are torn down.
 //
 // Slots are stable per URL for the cluster's lifetime: a backend
 // removed and re-added gets its old ring position back, so its
@@ -272,8 +271,7 @@ func (c *Cluster) Campaign(ctx context.Context, req api.CampaignRequest) (*bridg
 	return m.worker.Campaign(ctx, req)
 }
 
-// Player methods route by player identity: unlike the in-process
-// pool (whose workers share one engine), each backend process owns
+// Player methods route by player identity: each backend process owns
 // its own player store, so the ring genuinely partitions players
 // across the cluster and per-player rate limits are enforced by the
 // one backend that owns the player.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/player"
-	"repro/internal/router"
 	"repro/internal/serve"
 )
 
@@ -73,18 +72,15 @@ func runPlayerScript(t *testing.T, base string) []string {
 
 // TestPlayerFlowParityAcrossTopologies is the player half of the
 // parity contract: the identical scripted flow against a single
-// process, a 3-worker pool, and a 2-backend proxy produces
-// byte-identical responses at every step — success and every error
-// status alike (the 404/409 splice-reconstruction through the proxy
-// is what this pins).
+// process and a 2-backend proxy produces byte-identical responses at
+// every step — success and every error status alike (the 404/409
+// splice-reconstruction through the proxy is what this pins).
 func TestPlayerFlowParityAcrossTopologies(t *testing.T) {
 	_, direct := newBackend(t)
-	pool := httptest.NewServer(serve.NewMux(router.NewPool(3)))
-	t.Cleanup(pool.Close)
 	f := newFixture(t, 2)
 
 	want := runPlayerScript(t, direct.URL)
-	for name, base := range map[string]string{"pool": pool.URL, "proxy": f.proxy.URL} {
+	for name, base := range map[string]string{"proxy": f.proxy.URL} {
 		got := runPlayerScript(t, base)
 		for i := range want {
 			if got[i] != want[i] {

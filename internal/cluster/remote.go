@@ -1,10 +1,10 @@
 // Package cluster scales the service across processes: a
 // RemoteWorker speaks the full api.Core surface to one backend
-// twserve process over HTTP, and a Cluster fronts N of them with the
-// same consistent spec-hash ring that router.Pool uses in-process —
-// so a request's canonical RouteKey lands on the same backend every
-// time, and that backend's warm result cache, singleflight group,
-// and arenas keep composing across every client of the proxy.
+// twserve process over HTTP, and a Cluster fronts N of them with a
+// consistent spec-hash ring (internal/router) — so a request's
+// canonical RouteKey lands on the same backend every time, and that
+// backend's warm result cache, singleflight group, and arenas keep
+// composing across every client of the proxy.
 //
 // The wire contract is exactly the one cmd/twserve already serves
 // (internal/serve's route table), which is what makes the proxy

@@ -228,12 +228,12 @@ func genFig5() ([]Artifact, string, error) {
 type classifier func(m *matrix.Dense, e patterns.Entry) (string, bool)
 
 func classifyTopology(m *matrix.Dense, e patterns.Entry) (string, bool) {
-	got := patterns.ClassifyTopology(m, patterns.StandardZones10)
+	got := patterns.ClassifyTopologyOf(m, patterns.StandardZones10)
 	return got.String(), got.String() == e.Title
 }
 
 func classifyAttack(m *matrix.Dense, e patterns.Entry) (string, bool) {
-	got, conf := patterns.ClassifyAttackStage(m, patterns.StandardZones10)
+	got, conf := patterns.ClassifyAttackStageOf(m, patterns.StandardZones10)
 	return fmt.Sprintf("%s (confidence %.2f)", got, conf), got.String() == e.Title
 }
 
@@ -293,7 +293,7 @@ func genFig9() ([]Artifact, string, error) {
 		return nil, "", err
 	}
 	arts, summary, err := genFamily(patterns.FamilyDDoS, func(m *matrix.Dense, e patterns.Entry) (string, bool) {
-		got, conf := patterns.ClassifyDDoS(m, roles)
+		got, conf := patterns.ClassifyDDoSOf(m, roles)
 		return fmt.Sprintf("%s (confidence %.2f)", got, conf), got.String() == e.Title
 	})()
 	if err != nil {
@@ -314,7 +314,7 @@ func genFig9() ([]Artifact, string, error) {
 	for _, phase := range phases {
 		window := trace.Between(phase.Start, phase.End)
 		m, _ := window.Matrix(net)
-		got, conf := patterns.ClassifyDDoS(m, roles)
+		got, conf := patterns.ClassifyDDoSOf(m, roles)
 		ok := got == phase.Component
 		if ok {
 			matched++

@@ -1,13 +1,13 @@
 package matrix
 
 // Matrix is the read-only accessor contract shared by the dense and
-// sparse representations. The analysis layer (Profile, Supernodes,
-// IsolatedPairs, DegreeHistogram, TopLinks) and the pattern
-// classifiers consume this interface instead of *Dense, so a traffic
-// matrix aggregated by the concurrent scenario engine can flow from
-// the sharded COO merge straight into classification as a CSR —
-// never materializing the n² cells a large sparse matrix would
-// waste.
+// sparse representations. The analysis layer (ProfileOf,
+// SupernodesOf, IsolatedPairsOf, DegreeHistogramOf, TopLinksOf) and
+// the pattern classifiers consume this interface instead of *Dense,
+// so a traffic matrix aggregated by the concurrent scenario engine
+// can flow from the sharded COO merge straight into classification
+// as a CSR — never materializing the n² cells a large sparse matrix
+// would waste.
 //
 // The contract mirrors sparse semantics: Row visits only stored
 // non-zero entries, in increasing column order, and At returns 0 for

@@ -37,11 +37,6 @@ type Profile struct {
 	Reciprocal int
 }
 
-// NewProfile computes the structural profile of a square dense
-// matrix. It is ProfileOf restricted to the historical *Dense
-// signature.
-func NewProfile(m *Dense) Profile { return ProfileOf(m) }
-
 // ProfileOf computes the structural profile of a square matrix
 // through the read-only accessor, visiting only stored non-zeros:
 // O(nnz·log deg) on a CSR instead of the dense O(n²) scan.
@@ -115,10 +110,6 @@ type HotSpot struct {
 	Direction string
 }
 
-// Supernodes returns vertices whose fan-in or fan-out is at least
-// minFan, the dense entry point of SupernodesOf.
-func Supernodes(m *Dense, minFan int) []HotSpot { return SupernodesOf(m, minFan) }
-
 // SupernodesOf returns vertices whose fan-in or fan-out is at least
 // minFan, sorted by decreasing fan then index: the "supernode"
 // concept from the paper's traffic-topologies module. A vertex can
@@ -154,11 +145,6 @@ func SupernodesOf(m Matrix, minFan int) []HotSpot {
 	})
 	return hits
 }
-
-// IsolatedPairs returns the unordered pairs {i,j} that exchange
-// traffic only with each other, the dense entry point of
-// IsolatedPairsOf.
-func IsolatedPairs(m *Dense) [][2]int { return IsolatedPairsOf(m) }
 
 // IsolatedPairsOf returns the unordered pairs {i,j} that exchange
 // traffic only with each other (their entire fan is the pair), the
@@ -206,10 +192,6 @@ func IsolatedPairsOf(m Matrix) [][2]int {
 	return pairs
 }
 
-// DegreeHistogram returns the unweighted degree distribution, the
-// dense entry point of DegreeHistogramOf.
-func DegreeHistogram(m *Dense) []int { return DegreeHistogramOf(m) }
-
 // DegreeHistogramOf returns counts[k] = number of vertices with
 // unweighted total degree k (in-fan + out-fan). The multi-temporal
 // analysis literature the paper cites studies exactly these degree
@@ -233,10 +215,6 @@ func DegreeHistogramOf(m Matrix) []int {
 	}
 	return counts
 }
-
-// TopLinks returns the k heaviest links, the dense entry point of
-// TopLinksOf.
-func TopLinks(m *Dense, k int) []Entry { return TopLinksOf(m, k) }
 
 // TopLinksOf returns the k heaviest (row, col, value) triples in
 // decreasing value order (ties broken by row then col). Useful for

@@ -11,7 +11,7 @@ func TestProfileBasics(t *testing.T) {
 		{0, 0, 3},
 		{4, 0, 0},
 	})
-	p := NewProfile(m)
+	p := ProfileOf(m)
 	if p.N != 3 || p.NNZ != 4 || p.Sum != 10 || p.MaxEntry != 4 {
 		t.Errorf("profile basics wrong: %+v", p)
 	}
@@ -35,14 +35,14 @@ func TestProfileReciprocal(t *testing.T) {
 		{1, 0, 0},
 		{0, 0, 0},
 	})
-	p := NewProfile(m)
+	p := ProfileOf(m)
 	if p.Reciprocal != 1 {
 		t.Errorf("Reciprocal = %d, want 1 (only 0↔1)", p.Reciprocal)
 	}
 }
 
 func TestProfileNonSquare(t *testing.T) {
-	if p := NewProfile(NewDense(2, 3)); p.N != -1 {
+	if p := ProfileOf(NewDense(2, 3)); p.N != -1 {
 		t.Error("non-square profile should report N=-1")
 	}
 }
@@ -54,7 +54,7 @@ func TestSupernodesDetection(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(0, 2, 1)
 	m.Set(0, 3, 1)
-	hubs := Supernodes(m, 3)
+	hubs := SupernodesOf(m, 3)
 	if len(hubs) != 1 {
 		t.Fatalf("Supernodes = %v", hubs)
 	}
@@ -72,7 +72,7 @@ func TestSupernodesSorted(t *testing.T) {
 	for j := 1; j < 4; j++ {
 		m.Set(0, j, 1)
 	}
-	hubs := Supernodes(m, 3)
+	hubs := SupernodesOf(m, 3)
 	if len(hubs) != 2 || hubs[0].Index != 5 || hubs[1].Index != 0 {
 		t.Errorf("expected fan-4 hub first: %+v", hubs)
 	}
@@ -85,7 +85,7 @@ func TestIsolatedPairsDetection(t *testing.T) {
 	m.Set(2, 3, 1) // one-way, still isolated as a pair
 	m.Set(4, 5, 1)
 	m.Set(4, 2, 1) // 4 talks to both 5 and 2: not isolated
-	pairs := IsolatedPairs(m)
+	pairs := IsolatedPairsOf(m)
 	want := [][2]int{{0, 1}}
 	// Pair {2,3} is broken: vertex 2 also receives from 4.
 	if !reflect.DeepEqual(pairs, want) {
@@ -97,7 +97,7 @@ func TestDegreeHistogram(t *testing.T) {
 	m := NewSquare(3)
 	m.Set(0, 1, 1)
 	// Degrees (in-fan + out-fan): v0=1, v1=1, v2=0.
-	hist := DegreeHistogram(m)
+	hist := DegreeHistogramOf(m)
 	if !reflect.DeepEqual(hist, []int{1, 2}) {
 		t.Errorf("DegreeHistogram = %v", hist)
 	}
@@ -109,7 +109,7 @@ func TestTopLinks(t *testing.T) {
 		{0, 0, 5},
 		{2, 0, 0},
 	})
-	top := TopLinks(m, 2)
+	top := TopLinksOf(m, 2)
 	if len(top) != 2 {
 		t.Fatalf("TopLinks len = %d", len(top))
 	}
@@ -117,7 +117,7 @@ func TestTopLinks(t *testing.T) {
 	if top[0] != (Entry{0, 1, 5}) || top[1] != (Entry{1, 2, 5}) {
 		t.Errorf("TopLinks = %v", top)
 	}
-	if got := TopLinks(m, 100); len(got) != 4 {
+	if got := TopLinksOf(m, 100); len(got) != 4 {
 		t.Errorf("TopLinks overshoot = %d entries", len(got))
 	}
 }

@@ -120,7 +120,7 @@ func TestMergeCOOArenaParity(t *testing.T) {
 		return parts
 	}
 	_ = rng
-	plain, err := MergeCOO(build(nil)...)
+	plain, err := MergeCOOArena(context.Background(), nil, build(nil)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,29 +154,21 @@ func dropZeros(es []Entry) []Entry {
 	return out
 }
 
-// MergeCOO combines sharded COO accumulators into one compacted
+// MergeCOOArena combines sharded COO accumulators into one compacted
 // matrix. Every part must share the same dimensions; parts may be nil
 // (skipped) and are left unmodified aside from being compacted. The
 // compaction of each part runs concurrently — on a multicore host the
 // dominant O(E log E) sort cost parallelizes across shards — and the
 // sorted shards then merge in a single linear k-way pass.
-func MergeCOO(parts ...*COO) (*COO, error) {
-	return MergeCOOContext(context.Background(), parts...)
-}
-
-// MergeCOOContext is MergeCOO with cancellation at shard granularity:
-// a shard whose compaction has not started when ctx is cancelled is
-// skipped, and the cancelled merge returns the context's error
-// instead of a partial matrix. Shards that were skipped keep their
-// un-compacted triples, so a retry on a fresh context merges the same
-// data.
-func MergeCOOContext(ctx context.Context, parts ...*COO) (*COO, error) {
-	return MergeCOOArena(ctx, nil, parts...)
-}
-
-// MergeCOOArena is MergeCOOContext with the merged output's triple
-// storage taken from the arena (nil allocates fresh — identical to
-// MergeCOOContext). The output copies every triple and never aliases
+//
+// Cancellation works at shard granularity: a shard whose compaction
+// has not started when ctx is cancelled is skipped, and the cancelled
+// merge returns the context's error instead of a partial matrix.
+// Shards that were skipped keep their un-compacted triples, so a
+// retry on a fresh context merges the same data.
+//
+// The merged output's triple storage comes from the arena (nil
+// allocates fresh). The output copies every triple and never aliases
 // a part's storage, so on success the caller may Release the parts;
 // the parts themselves are only compacted, never released, here —
 // a cancelled merge leaves them intact for a retry.
@@ -188,12 +180,12 @@ func MergeCOOArena(ctx context.Context, a *Arena, parts ...*COO) (*COO, error) {
 		}
 	}
 	if len(live) == 0 {
-		return nil, fmt.Errorf("matrix: MergeCOO of no matrices")
+		return nil, fmt.Errorf("matrix: MergeCOOArena of no matrices")
 	}
 	rows, cols := live[0].rows, live[0].cols
 	for _, p := range live[1:] {
 		if p.rows != rows || p.cols != cols {
-			return nil, fmt.Errorf("matrix: MergeCOO dimension mismatch %dx%d vs %dx%d",
+			return nil, fmt.Errorf("matrix: MergeCOOArena dimension mismatch %dx%d vs %dx%d",
 				rows, cols, p.rows, p.cols)
 		}
 	}

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestMergeCOOContextCancelled: a cancelled merge returns the
+// TestMergeCOOCancelledIsRetryable: a cancelled merge returns the
 // context's error and leaves the shards retryable — a second merge on
 // a live context produces the full result.
-func TestMergeCOOContextCancelled(t *testing.T) {
+func TestMergeCOOCancelledIsRetryable(t *testing.T) {
 	mkShard := func(vals ...int) *COO {
 		c := NewCOO(4, 4)
 		for i, v := range vals {
@@ -22,15 +22,15 @@ func TestMergeCOOContextCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MergeCOOContext(ctx, a, b); !errors.Is(err, context.Canceled) {
+	if _, err := MergeCOOArena(ctx, nil, a, b); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled merge: err = %v, want context.Canceled", err)
 	}
 
-	merged, err := MergeCOOContext(context.Background(), a, b)
+	merged, err := MergeCOOArena(context.Background(), nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MergeCOO(mkShard(1, 2, 3), mkShard(10, 20))
+	want, err := MergeCOOArena(context.Background(), nil, mkShard(1, 2, 3), mkShard(10, 20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,10 @@
 //   - beacon: covert C2 beaconing — a single light periodic
 //     blue→red link.
 //
-// patterns.ClassifyBehavior recognizes the four extended shapes;
-// patterns.ClassifyTopology, ClassifyAttackStage, and ClassifyDDoS
-// cover the originals; patterns.ClassifyMixtureOf scores all eight
-// at once for composed traffic.
+// patterns.ClassifyBehaviorOf recognizes the four extended shapes;
+// patterns.ClassifyTopologyOf, ClassifyAttackStageOf, and
+// ClassifyDDoSOf cover the originals; patterns.ClassifyMixtureOf
+// scores all eight at once for composed traffic.
 //
 // # Composition algebra
 //
@@ -73,7 +73,7 @@
 // GenerateTrace and GenerateMatrix fan the chunk indices across a
 // worker pool, seeding chunk k's RNG from (seed, k) by splitmix64.
 // Workers accumulate into private stores — per-chunk trace slots, or
-// per-worker sparse COO shards merged by matrix.MergeCOO, whose
+// per-worker sparse COO shards merged by matrix.MergeCOOArena, whose
 // duplicate-summing compaction is order-insensitive — so for a given
 // (scenario, network, seed, params) the aggregate output is
 // bit-identical on 1 worker or N. The legacy Background, Scan,

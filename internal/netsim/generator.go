@@ -184,7 +184,7 @@ func GenerateTraceArena(ctx context.Context, a *Arena, s Scenario, net *Network,
 // GenerateMatrix generates the scenario and aggregates it straight
 // into a sparse traffic matrix, skipping trace materialization: each
 // worker streams its chunks' events into a private COO shard, and
-// the shards are merged and compacted by matrix.MergeCOO. Because
+// the shards are merged and compacted by matrix.MergeCOOArena. Because
 // duplicate COO coordinates sum on compaction, the merged matrix is
 // identical for any worker count. Events naming hosts outside the
 // network axis are counted in Stats.Dropped, mirroring
@@ -196,7 +196,7 @@ func GenerateMatrix(s Scenario, net *Network, seed int64, workers int, p Params)
 // GenerateMatrixContext is GenerateMatrix with cancellation threaded
 // through both sharded loops: the chunk workers stop claiming work
 // when ctx is cancelled, and the final shard merge
-// (matrix.MergeCOOContext) aborts between shard compactions.
+// (matrix.MergeCOOArena) aborts between shard compactions.
 func GenerateMatrixContext(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.COO, Stats, error) {
 	return GenerateMatrixArena(ctx, nil, s, net, seed, workers, p)
 }

@@ -169,7 +169,7 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, conf := patterns.ClassifyBehavior(coo.ToDense(), zones)
+		got, conf := patterns.ClassifyBehaviorOf(coo.ToDense(), zones)
 		if got != behavior {
 			t.Errorf("%s classified as %v (%.2f), want %v", name, got, conf, behavior)
 		}
@@ -183,7 +183,7 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := patterns.ClassifyTopology(coo.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
+	if kind := patterns.ClassifyTopologyOf(coo.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
 		t.Errorf("flashcrowd topology = %v, want internal supernode", kind)
 	}
 }

@@ -201,7 +201,7 @@ func TestScanShapesAsSupernode(t *testing.T) {
 		t.Error("scan dropped packets")
 	}
 	zones, _ := net.Zones()
-	kind := patterns.ClassifyTopology(m, zones)
+	kind := patterns.ClassifyTopologyOf(m, zones)
 	if kind != patterns.TopologyExternalSupernode {
 		t.Errorf("scan classified as %v, want external supernode", kind)
 	}
@@ -225,7 +225,7 @@ func TestAttackScenarioPhasesClassify(t *testing.T) {
 			t.Fatalf("phase %v has no events", p.Stage)
 		}
 		m, _ := window.Matrix(net)
-		got, conf := patterns.ClassifyAttackStage(m, zones)
+		got, conf := patterns.ClassifyAttackStageOf(m, zones)
 		if got != p.Stage {
 			t.Errorf("phase %v classified as %v (%.2f)", p.Stage, got, conf)
 		}
@@ -249,7 +249,7 @@ func TestDDoSScenarioPhasesClassify(t *testing.T) {
 	for _, p := range phases {
 		window := trace.Between(p.Start, p.End)
 		m, _ := window.Matrix(net)
-		got, conf := patterns.ClassifyDDoS(m, roles)
+		got, conf := patterns.ClassifyDDoSOf(m, roles)
 		if got != p.Component || conf != 1.0 {
 			t.Errorf("phase %v → %v (%.2f)", p.Component, got, conf)
 		}

@@ -64,23 +64,23 @@ func TestCatalogCSRAnalysisParity(t *testing.T) {
 					t.Errorf("hosts=%d: TopLinks mismatch: %v vs %v", net.Len(), got, want)
 				}
 
-				db, dconf := patterns.ClassifyBehavior(dense, zones)
+				db, dconf := patterns.ClassifyBehaviorOf(dense, zones)
 				cb, cconf := patterns.ClassifyBehaviorOf(csr, zones)
 				if db != cb || dconf != cconf {
 					t.Errorf("hosts=%d: ClassifyBehavior mismatch: dense %v (%v), csr %v (%v)",
 						net.Len(), db, dconf, cb, cconf)
 				}
 
-				dm := patterns.ClassifyMixture(dense, zones)
+				dm := patterns.ClassifyMixtureOf(dense, zones)
 				cm := patterns.ClassifyMixtureOf(csr, zones)
 				if !reflect.DeepEqual(dm, cm) {
 					t.Errorf("hosts=%d: ClassifyMixture mismatch: dense %v, csr %v", net.Len(), dm, cm)
 				}
 
-				if got, want := patterns.ClassifyTopologyOf(csr, zones), patterns.ClassifyTopology(dense, zones); got != want {
+				if got, want := patterns.ClassifyTopologyOf(csr, zones), patterns.ClassifyTopologyOf(dense, zones); got != want {
 					t.Errorf("hosts=%d: ClassifyTopology mismatch: %v vs %v", net.Len(), got, want)
 				}
-				ds, dsc := patterns.ClassifyAttackStage(dense, zones)
+				ds, dsc := patterns.ClassifyAttackStageOf(dense, zones)
 				cs, csc := patterns.ClassifyAttackStageOf(csr, zones)
 				if ds != cs || dsc != csc {
 					t.Errorf("hosts=%d: ClassifyAttackStage mismatch: %v (%v) vs %v (%v)",
@@ -88,7 +88,7 @@ func TestCatalogCSRAnalysisParity(t *testing.T) {
 				}
 
 				if roles, err := patterns.AssignDDoSRoles(zones); err == nil {
-					dd, ddc := patterns.ClassifyDDoS(dense, roles)
+					dd, ddc := patterns.ClassifyDDoSOf(dense, roles)
 					cd, cdc := patterns.ClassifyDDoSOf(csr, roles)
 					if dd != cd || ddc != cdc {
 						t.Errorf("hosts=%d: ClassifyDDoS mismatch: %v (%v) vs %v (%v)",

@@ -5,11 +5,11 @@ import (
 )
 
 // Behavior classification for the extended netsim catalog: where
-// ClassifyTopology, ClassifyAttackStage, and ClassifyDDoS recognize
-// the paper's original module shapes, ClassifyBehavior recognizes
-// the live-traffic behaviours the concurrent scenario engine adds —
-// worm propagation, data exfiltration, flash crowds, and C2
-// beaconing — from their aggregate traffic matrices.
+// ClassifyTopologyOf, ClassifyAttackStageOf, and ClassifyDDoSOf
+// recognize the paper's original module shapes, ClassifyBehaviorOf
+// recognizes the live-traffic behaviours the concurrent scenario
+// engine adds — worm propagation, data exfiltration, flash crowds,
+// and C2 beaconing — from their aggregate traffic matrices.
 
 // Behavior enumerates the extended-catalog traffic behaviours.
 type Behavior int
@@ -48,7 +48,7 @@ var Behaviors = []Behavior{
 	BehaviorWorm, BehaviorExfiltration, BehaviorFlashCrowd, BehaviorBeaconing,
 }
 
-// ClassifyBehavior returns the extended-catalog behaviour whose
+// ClassifyBehaviorOf returns the extended-catalog behaviour whose
 // signature best explains the off-diagonal traffic, with the
 // explained packet fraction as confidence. Each behaviour gates on
 // the structural feature that separates it from its neighbours:
@@ -65,14 +65,11 @@ var Behaviors = []Behavior{
 //     are lighter than the inbound crowd);
 //   - beaconing needs blue→red traffic outweighing any red→blue
 //     tasking replies.
-func ClassifyBehavior(m *matrix.Dense, z Zones) (Behavior, float64) {
-	return ClassifyBehaviorOf(m, z)
-}
-
-// ClassifyBehaviorOf is ClassifyBehavior over the read-only accessor
-// interface: it visits only stored entries, so a CSR aggregated by
-// the concurrent scenario engine classifies in O(nnz·log deg) with
-// no dense materialization.
+//
+// It reads the matrix through the read-only accessor interface and
+// visits only stored entries, so a CSR aggregated by the concurrent
+// scenario engine classifies in O(nnz·log deg) with no dense
+// materialization.
 func ClassifyBehaviorOf(m matrix.Matrix, z Zones) (Behavior, float64) {
 	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
 		return BehaviorUnknown, 0

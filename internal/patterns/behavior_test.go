@@ -15,7 +15,7 @@ func TestClassifyBehaviorWorm(t *testing.T) {
 	m.Set(0, 1, 3) // cascade doubles through blue space
 	m.Set(0, 2, 2)
 	m.Set(1, 3, 3)
-	got, conf := ClassifyBehavior(m, StandardZones10)
+	got, conf := ClassifyBehaviorOf(m, StandardZones10)
 	if got != BehaviorWorm {
 		t.Fatalf("worm matrix classified as %v (%.2f)", got, conf)
 	}
@@ -28,7 +28,7 @@ func TestClassifyBehaviorExfiltration(t *testing.T) {
 	m := matrix.NewSquare(10)
 	m.Set(0, 5, 200) // WS1 streams to EXT2
 	m.Set(5, 0, 9)   // sparse acks back
-	got, conf := ClassifyBehavior(m, StandardZones10)
+	got, conf := ClassifyBehaviorOf(m, StandardZones10)
 	if got != BehaviorExfiltration {
 		t.Fatalf("exfil matrix classified as %v (%.2f)", got, conf)
 	}
@@ -38,7 +38,7 @@ func TestClassifyBehaviorExfiltration(t *testing.T) {
 	// Symmetric volume is not exfiltration: without the 4× skew the
 	// dominant cell no longer qualifies.
 	m.Set(5, 0, 150)
-	if got, _ := ClassifyBehavior(m, StandardZones10); got == BehaviorExfiltration {
+	if got, _ := ClassifyBehaviorOf(m, StandardZones10); got == BehaviorExfiltration {
 		t.Error("symmetric blue→grey link still classified as exfiltration")
 	}
 }
@@ -49,7 +49,7 @@ func TestClassifyBehaviorFlashCrowd(t *testing.T) {
 		m.Set(client, 3, 8) // pile onto SRV1
 		m.Set(3, client, 2) // light replies
 	}
-	got, conf := ClassifyBehavior(m, StandardZones10)
+	got, conf := ClassifyBehaviorOf(m, StandardZones10)
 	if got != BehaviorFlashCrowd {
 		t.Fatalf("flash-crowd matrix classified as %v (%.2f)", got, conf)
 	}
@@ -62,7 +62,7 @@ func TestClassifyBehaviorBeaconing(t *testing.T) {
 	m := matrix.NewSquare(10)
 	m.Set(2, 6, 16) // WS3 phones home to ADV1
 	m.Set(6, 2, 3)  // occasional tasking reply
-	got, conf := ClassifyBehavior(m, StandardZones10)
+	got, conf := ClassifyBehaviorOf(m, StandardZones10)
 	if got != BehaviorBeaconing {
 		t.Fatalf("beacon matrix classified as %v (%.2f)", got, conf)
 	}
@@ -73,19 +73,19 @@ func TestClassifyBehaviorBeaconing(t *testing.T) {
 
 func TestClassifyBehaviorRejectsDegenerate(t *testing.T) {
 	empty := matrix.NewSquare(10)
-	if got, conf := ClassifyBehavior(empty, StandardZones10); got != BehaviorUnknown || conf != 0 {
+	if got, conf := ClassifyBehaviorOf(empty, StandardZones10); got != BehaviorUnknown || conf != 0 {
 		t.Errorf("empty matrix → %v (%.2f), want unknown/0", got, conf)
 	}
 	// Diagonal-only traffic has no off-diagonal flows to explain.
 	diag := matrix.NewSquare(10)
 	diag.Set(1, 1, 5)
-	if got, _ := ClassifyBehavior(diag, StandardZones10); got != BehaviorUnknown {
+	if got, _ := ClassifyBehaviorOf(diag, StandardZones10); got != BehaviorUnknown {
 		t.Errorf("diagonal-only matrix → %v, want unknown", got)
 	}
 	// Size mismatch with the zones.
 	small := matrix.NewSquare(4)
 	small.Set(0, 1, 1)
-	if got, _ := ClassifyBehavior(small, StandardZones10); got != BehaviorUnknown {
+	if got, _ := ClassifyBehaviorOf(small, StandardZones10); got != BehaviorUnknown {
 		t.Errorf("mismatched matrix → %v, want unknown", got)
 	}
 }

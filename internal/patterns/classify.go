@@ -317,13 +317,9 @@ func (k TopologyKind) String() string {
 // a vertex a supernode rather than an ordinary busy host.
 const SupernodeFanThreshold = 3
 
-// ClassifyTopology identifies which Fig 6 topology a traffic matrix
-// shows, using zones to split internal from external supernodes.
-func ClassifyTopology(m *matrix.Dense, z Zones) TopologyKind {
-	return ClassifyTopologyOf(m, z)
-}
-
-// ClassifyTopologyOf is ClassifyTopology over the read-only accessor
+// ClassifyTopologyOf identifies which Fig 6 topology a traffic
+// matrix shows, using zones to split internal from external
+// supernodes. It reads the matrix through the read-only accessor
 // interface, visiting only stored entries.
 func ClassifyTopologyOf(m matrix.Matrix, z Zones) TopologyKind {
 	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
@@ -427,17 +423,12 @@ var attackSignatures = map[AttackStage]map[[2]Zone]bool{
 	StageLateral:      {{ZoneBlue, ZoneBlue}: true},
 }
 
-// ClassifyAttackStage returns the attack stage whose signature flows
-// explain the largest fraction of the matrix's links, with that
+// ClassifyAttackStageOf returns the attack stage whose signature
+// flows explain the largest fraction of the matrix's links, with that
 // fraction as a confidence. Pure single-stage matrices score 1.0;
-// a combined campaign scores the dominant stage lower.
-func ClassifyAttackStage(m *matrix.Dense, z Zones) (AttackStage, float64) {
-	return ClassifyAttackStageOf(m, z)
-}
-
-// ClassifyAttackStageOf is ClassifyAttackStage over the read-only
-// accessor interface. All four stage signatures score from one
-// zone-pair tally, so a window classifies in a single O(nnz) scan.
+// a combined campaign scores the dominant stage lower. All four stage
+// signatures score from one zone-pair tally over the read-only
+// accessor interface, so a window classifies in a single O(nnz) scan.
 func ClassifyAttackStageOf(m matrix.Matrix, z Zones) (AttackStage, float64) {
 	counts, total := zoneFlowCells(m, z)
 	best, bestScore := StagePlanning, -1.0
@@ -470,17 +461,11 @@ func ClassifyPosture(m *matrix.Dense, z Zones) (Posture, float64) {
 	return best, bestScore
 }
 
-// ClassifyDDoS returns the DDoS component that best explains the
+// ClassifyDDoSOf returns the DDoS component that best explains the
 // matrix given the cast of the attack, with the explained fraction
-// as confidence.
-func ClassifyDDoS(m *matrix.Dense, roles DDoSRoles) (DDoSComponent, float64) {
-	return ClassifyDDoSOf(m, roles)
-}
-
-// ClassifyDDoSOf is ClassifyDDoS over the read-only accessor
-// interface: one pass over the stored entries tallies every
-// component's hits, so a CSR window classifies in O(nnz) with no
-// dense materialization.
+// as confidence. One pass over the stored entries (through the
+// read-only accessor interface) tallies every component's hits, so a
+// CSR window classifies in O(nnz) with no dense materialization.
 func ClassifyDDoSOf(m matrix.Matrix, roles DDoSRoles) (DDoSComponent, float64) {
 	n := m.Rows()
 	inC2 := make([]bool, n)

@@ -87,7 +87,7 @@ func TestClassifyTopologyCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if got := ClassifyTopology(m, StandardZones10); got != want[e.Figure] {
+		if got := ClassifyTopologyOf(m, StandardZones10); got != want[e.Figure] {
 			t.Errorf("%s (%s): classified as %v, want %v", e.ID, e.Title, got, want[e.Figure])
 		}
 	}
@@ -101,7 +101,7 @@ func TestClassifyAttackCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", stage, err)
 		}
-		got, conf := ClassifyAttackStage(m, StandardZones10)
+		got, conf := ClassifyAttackStageOf(m, StandardZones10)
 		if got != stage {
 			t.Errorf("stage %v classified as %v (confidence %.2f)", stage, got, conf)
 		}
@@ -141,7 +141,7 @@ func TestClassifyDDoSCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
-		got, conf := ClassifyDDoS(m, roles)
+		got, conf := ClassifyDDoSOf(m, roles)
 		if got != c {
 			t.Errorf("component %v classified as %v (confidence %.2f)", c, got, conf)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // Mixture-aware classification for the composition algebra: where
-// ClassifyBehavior and ClassifyTopology each pick ONE best reading,
+// ClassifyBehaviorOf and ClassifyTopologyOf each pick ONE best reading,
 // real (and composed) traffic layers several shapes at once — a scan
 // on top of background chatter, a DDoS following a worm.
 // ClassifyMixtureOf scores every catalog shape independently against
@@ -93,12 +93,6 @@ func ClassifyMixtureOf(m matrix.Matrix, z Zones) []MixtureComponent {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
-}
-
-// ClassifyMixture is ClassifyMixtureOf for callers holding a *Dense,
-// mirroring the other classifier pairs.
-func ClassifyMixture(m *matrix.Dense, z Zones) []MixtureComponent {
-	return ClassifyMixtureOf(m, z)
 }
 
 // mixtureScores gathers the per-shape fractions in one pass over the

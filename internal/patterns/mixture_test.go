@@ -31,7 +31,7 @@ func TestClassifyMixturePureDDoSCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ClassifyMixture(m, StandardZones10)
+	got := ClassifyMixtureOf(m, StandardZones10)
 	if len(got) == 0 || got[0].Label != "ddos" {
 		t.Fatalf("DDoS campaign classified as %v, want ddos dominant", got)
 	}
@@ -52,7 +52,7 @@ func TestClassifyMixtureLayeredCampaign(t *testing.T) {
 			m.Set(6, j, 1)
 		}
 	}
-	got := ClassifyMixture(m, StandardZones10)
+	got := ClassifyMixtureOf(m, StandardZones10)
 	if !hasComponent(got, "ddos") || !hasComponent(got, "scan") {
 		t.Fatalf("layered campaign classified as %v, want ddos and scan", got)
 	}
@@ -75,7 +75,7 @@ func TestClassifyMixtureBeaconUnderChatter(t *testing.T) {
 	// lighter tasking reply.
 	m.Set(2, 6, 16)
 	m.Set(6, 2, 3)
-	got := ClassifyMixture(m, StandardZones10)
+	got := ClassifyMixtureOf(m, StandardZones10)
 	if !hasComponent(got, "background") || !hasComponent(got, "beacon") {
 		t.Fatalf("mixture = %v, want background and beacon", got)
 	}
@@ -93,7 +93,7 @@ func TestClassifyMixtureSeparatesFloodFromCrowd(t *testing.T) {
 		flood.Set(bot, 3, 60)
 		flood.Set(3, bot, 2) // backscatter
 	}
-	got := ClassifyMixture(flood, StandardZones10)
+	got := ClassifyMixtureOf(flood, StandardZones10)
 	if len(got) == 0 || got[0].Label != "ddos" {
 		t.Fatalf("flood classified as %v, want ddos dominant", got)
 	}
@@ -106,7 +106,7 @@ func TestClassifyMixtureSeparatesFloodFromCrowd(t *testing.T) {
 		crowd.Set(client, 3, 60)
 		crowd.Set(3, client, 4) // acknowledgements
 	}
-	got = ClassifyMixture(crowd, StandardZones10)
+	got = ClassifyMixtureOf(crowd, StandardZones10)
 	if len(got) == 0 || got[0].Label != "flashcrowd" {
 		t.Fatalf("crowd classified as %v, want flashcrowd dominant", got)
 	}
@@ -121,7 +121,7 @@ func TestClassifyMixtureExfilNotBackground(t *testing.T) {
 	m := matrix.NewSquare(10)
 	m.Set(0, 5, 200)
 	m.Set(5, 0, 10) // sparse acks: far below the balance ratio
-	got := ClassifyMixture(m, StandardZones10)
+	got := ClassifyMixtureOf(m, StandardZones10)
 	if len(got) == 0 || got[0].Label != "exfil" {
 		t.Fatalf("classified as %v, want exfil dominant", got)
 	}
@@ -148,15 +148,15 @@ func TestClassifyMixtureOfDenseCSRParity(t *testing.T) {
 }
 
 func TestClassifyMixtureDegenerateInputs(t *testing.T) {
-	if got := ClassifyMixture(matrix.NewSquare(10), StandardZones10); len(got) != 0 {
+	if got := ClassifyMixtureOf(matrix.NewSquare(10), StandardZones10); len(got) != 0 {
 		t.Errorf("empty matrix produced components %v", got)
 	}
-	if got := ClassifyMixture(matrix.NewSquare(4), StandardZones10); len(got) != 0 {
+	if got := ClassifyMixtureOf(matrix.NewSquare(4), StandardZones10); len(got) != 0 {
 		t.Errorf("zone-mismatched matrix produced components %v", got)
 	}
 	diag := matrix.NewSquare(10)
 	diag.Set(2, 2, 9)
-	if got := ClassifyMixture(diag, StandardZones10); len(got) != 0 {
+	if got := ClassifyMixtureOf(diag, StandardZones10); len(got) != 0 {
 		t.Errorf("diagonal-only matrix produced components %v", got)
 	}
 }

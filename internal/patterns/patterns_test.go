@@ -139,12 +139,12 @@ func TestGeneratorParameterValidation(t *testing.T) {
 
 func TestGraphGeneratorDegrees(t *testing.T) {
 	star, _ := Star(10, 0)
-	p := matrix.NewProfile(star)
+	p := matrix.ProfileOf(star)
 	if p.OutFan[0] != 9 || p.InFan[0] != 9 {
 		t.Error("star hub fan wrong")
 	}
 	ring, _ := Ring(10)
-	rp := matrix.NewProfile(ring)
+	rp := matrix.ProfileOf(ring)
 	for i, f := range rp.OutFan {
 		if f != 2 {
 			t.Errorf("ring vertex %d fan %d", i, f)
@@ -171,7 +171,7 @@ func TestGraphGeneratorDegrees(t *testing.T) {
 
 func TestMeshTorusStructure(t *testing.T) {
 	mesh, _ := Mesh(10, 2, 5)
-	mp := matrix.NewProfile(mesh)
+	mp := matrix.ProfileOf(mesh)
 	// 2×5 grid: 4 horizontal edges per row ×2 + 5 vertical = 13
 	// undirected edges = 26 stored.
 	if mesh.NNZ() != 26 {
@@ -213,7 +213,7 @@ func TestCampaignClassifiedAsDominantStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, conf := ClassifyAttackStage(campaign, StandardZones10)
+	_, conf := ClassifyAttackStageOf(campaign, StandardZones10)
 	if conf >= 1.0 || conf <= 0 {
 		t.Errorf("campaign confidence = %f, want partial", conf)
 	}
@@ -325,8 +325,8 @@ func TestClassifiersRobustOnRandomMatrices(t *testing.T) {
 		}
 		// None of these may panic, and confidences stay in [0,1].
 		ClassifyGraph(m)
-		ClassifyTopology(m, StandardZones10)
-		if _, conf := ClassifyAttackStage(m, StandardZones10); conf < 0 || conf > 1 {
+		ClassifyTopologyOf(m, StandardZones10)
+		if _, conf := ClassifyAttackStageOf(m, StandardZones10); conf < 0 || conf > 1 {
 			t.Fatalf("attack confidence %f out of range", conf)
 		}
 		if _, conf := ClassifyPosture(m, StandardZones10); conf < 0 || conf > 1 {
@@ -393,12 +393,12 @@ func TestTopologyClassifierRejectsAmbiguity(t *testing.T) {
 	for j := 4; j < 8; j++ {
 		m.Set(2, j, 1)
 	}
-	if got := ClassifyTopology(m, StandardZones10); got != TopologyInternalSupernode {
+	if got := ClassifyTopologyOf(m, StandardZones10); got != TopologyInternalSupernode {
 		// The hub dominates: vertex 2 is blue with fan 4.
 		t.Errorf("mixed matrix = %v", got)
 	}
 	// …and an empty one is unknown.
-	if got := ClassifyTopology(matrix.NewSquare(10), StandardZones10); got != TopologyUnknown {
+	if got := ClassifyTopologyOf(matrix.NewSquare(10), StandardZones10); got != TopologyUnknown {
 		t.Errorf("empty = %v", got)
 	}
 }

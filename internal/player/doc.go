@@ -36,10 +36,10 @@
 // Determinism matters here the same way it does in the generation
 // engine: every response is a pure function of the store state and
 // the request sequence (no timestamps, no global RNG), which is what
-// lets the sharded -workers fleet and the PR 9 cluster proxy serve
-// player traffic bit-identically to a single process. Player state
-// deliberately bypasses the api result cache — it is mutable
-// per-user state, the opposite of the cache's immutable
-// spec-determined results; only the module/course *rendering* inside
-// an attempt is derived from deterministic specs (and memoized).
+// lets the cluster proxy serve player traffic bit-identically to a
+// single process. Player state deliberately bypasses the api result
+// cache — it is mutable per-user state, the opposite of the cache's
+// immutable spec-determined results; only the module/course
+// *rendering* inside an attempt is derived from deterministic specs
+// (and memoized).
 package player

@@ -1,8 +1,8 @@
 // Package router shards the service core horizontally: a consistent
 // hash ring maps canonical request keys (netsim.SpecString plus
 // normalized parameters — the same identity the result cache uses)
-// onto a fleet of api.Service workers, and a Pool fronts that fleet
-// with the full api.Core surface. The same spec always lands on the
+// onto a fleet of workers — the twserve backends a cluster proxy
+// fronts (see internal/cluster). The same spec always lands on the
 // same worker, so worker-local caches and singleflight coalescing
 // keep composing across clients; adding or removing a worker moves
 // only ~K/N of the keyspace (the consistent-hashing guarantee the
@@ -19,11 +19,10 @@ import (
 )
 
 // ErrEmptyRing reports a Pick against a ring with no live workers —
-// a fleet of zero cannot own any key. In-process pools never build
-// one (NewPool clamps to at least one worker and has no removal
-// path), but a cluster proxy whose every backend has been removed
-// legitimately reaches this state; front-ends surface it as HTTP 503
-// rather than panicking the process.
+// a fleet of zero cannot own any key. A cluster proxy whose every
+// backend has been removed legitimately reaches this state;
+// front-ends surface it as HTTP 503 rather than panicking the
+// process.
 var ErrEmptyRing = errors.New("router: empty ring: no live workers")
 
 // DefaultReplicas is the virtual-node count per worker. More vnodes

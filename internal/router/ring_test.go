@@ -44,21 +44,6 @@ func TestRingEmptyPickErrors(t *testing.T) {
 	}
 }
 
-// TestPoolNeverBuildsAnEmptyRing pins the invariant Pool.Worker
-// relies on: every NewPool size, including nonsense sizes, yields at
-// least one worker, so in-process pools can never see ErrEmptyRing.
-func TestPoolNeverBuildsAnEmptyRing(t *testing.T) {
-	for _, n := range []int{-1, 0, 1, 4} {
-		p := NewPool(n)
-		if p.Size() < 1 {
-			t.Fatalf("NewPool(%d) built %d workers", n, p.Size())
-		}
-		if w := p.Worker("some-key"); w == nil {
-			t.Fatalf("NewPool(%d).Worker returned nil", n)
-		}
-	}
-}
-
 // testKeys builds K canonical-shaped keys like the ones the service
 // actually routes.
 func testKeys(k int) []string {

@@ -18,7 +18,7 @@
 //	GET    /v1/player/{id}/progress        course-progress summary
 //	POST   /v1/player/{id}/progress        complete a unit ({"unit": ...})
 //	GET    /v1/player/mastery              cohort item statistics
-//	GET    /v1/sessions         in-flight work (merged across workers)
+//	GET    /v1/sessions         in-flight work (merged across backends)
 //	DELETE /v1/sessions/{id}    cancel one in-flight run
 //	GET    /v1/cache            result-cache counters (fleet aggregate)
 //	GET    /v1/stats            per-worker, per-shard counters
@@ -38,8 +38,8 @@
 //	POST   /v1/cluster/remove   {"backend": url} — shrink + drain
 //
 // Every handler is written against api.Core, so the same table
-// fronts a single *api.Service, a router.Pool of in-process workers,
-// or a cluster.Cluster of remote twserve processes.
+// fronts a single *api.Service or a cluster.Cluster of remote
+// twserve processes.
 package serve
 
 import (
