@@ -35,7 +35,7 @@ func normalize(out string) string {
 			continue
 		}
 		if m := sparseLine.FindStringSubmatch(line); m != nil {
-			lines[i] = m[1] + " aggregate DUR, profile+classify DUR"
+			lines[i] = m[1] + " profile+classify DUR"
 		}
 	}
 	return strings.Join(lines, "\n")
@@ -95,7 +95,7 @@ func TestRunScanDeterministic(t *testing.T) {
 	if !strings.Contains(out, "aggregate readings (sparse CSR path)") {
 		t.Error("missing sparse aggregate block")
 	}
-	if !strings.Contains(out, "sparse timings: aggregate") {
+	if !strings.Contains(out, "sparse timings: profile+classify") {
 		t.Error("missing sparse-path timing report")
 	}
 	checkGolden(t, "scan.golden", out)

@@ -203,7 +203,10 @@ func finishResult(res *GenerateResult, hit, includeMatrices bool) *GenerateResul
 	return &out
 }
 
-// generate is the cold path behind Generate.
+// generate is the cold path behind Generate: the streaming fold
+// builds the per-window view and the aggregate CSR in one pass over
+// the events, with no trace and no sort — the same engine call
+// GenerateStream makes, so batch and stream share one pipeline.
 func (svc *Service) generate(ctx context.Context, scn netsim.Scenario, canonical string, net *netsim.Network, req GenerateRequest) (*GenerateResult, error) {
 	zones, err := net.Zones()
 	if err != nil {
@@ -211,69 +214,57 @@ func (svc *Service) generate(ctx context.Context, scn netsim.Scenario, canonical
 	}
 	workers := resolveWorkers(req.Workers)
 	p := req.params().Normalized()
+	res := &GenerateResult{
+		Version: Version, Spec: canonical, Scenario: scn.Name(), Shape: scn.Shape(),
+		Hosts: net.Len(), Seed: req.Seed, Workers: workers, Duration: p.Duration,
+		Labels: net.Labels(), Network: net, Zones: zones,
+	}
+	res.Schedule, res.ComposedOf = runHeader(scn, p)
 
 	genStart := time.Now()
-	trace, err := netsim.GenerateTraceArena(ctx, svc.arena, scn, net, req.Seed, workers, p)
+	var csr *matrix.CSR
+	var stats netsim.Stats
+	if req.Window > 0 {
+		roles, rolesErr := patterns.AssignDDoSRoles(zones)
+		// onWindow runs under the engine's emit lock, one window at a
+		// time in index order, so the append needs no lock of its own.
+		csr, stats, err = netsim.StreamCSRArena(ctx, svc.arena, scn, net, req.Seed, workers, p, req.Window, p.Duration,
+			func(k int, w netsim.SparseWindow) error {
+				res.Windows = append(res.Windows, windowResult(k, w, zones, roles, rolesErr, res.Labels))
+				return nil
+			})
+	} else {
+		csr, stats, err = netsim.GenerateCSRArena(ctx, svc.arena, scn, net, req.Seed, workers, p)
+	}
 	if err != nil {
 		return nil, err
 	}
 	genElapsed := time.Since(genStart)
+	res.Events, res.Packets = stats.Events, stats.Packets
 
-	res := &GenerateResult{
-		Version:  Version,
-		Spec:     canonical,
-		Scenario: scn.Name(),
-		Shape:    scn.Shape(),
-		Hosts:    net.Len(),
-		Seed:     req.Seed,
-		Workers:  workers,
-		Duration: p.Duration,
-		Events:   len(trace),
-		Packets:  trace.TotalPackets(),
-		Labels:   net.Labels(),
-		Network:  net,
-		Zones:    zones,
-	}
+	analyzeStart := time.Now()
+	res.Aggregate = analyzeMatrix(csr, zones)
+	res.AggregateCSR = csr
+	res.Timings = Timings{Generate: genElapsed, Analyze: time.Since(analyzeStart)}
+	return res, nil
+}
+
+// runHeader returns the ground-truth phase timeline (when the
+// scenario publishes one) and the primitive leaves of a composed
+// scenario: the run header the batch result and the stream's meta
+// frame share.
+func runHeader(scn netsim.Scenario, p netsim.Params) (schedule []Phase, composedOf []string) {
 	if sched, ok := scn.(netsim.Scheduler); ok {
 		for _, ph := range sched.Schedule(p) {
-			res.Schedule = append(res.Schedule, Phase{Label: ph.Label, Start: ph.Start, End: ph.End})
+			schedule = append(schedule, Phase{Label: ph.Label, Start: ph.Start, End: ph.End})
 		}
 	}
 	if _, ok := scn.(netsim.Composite); ok {
 		for _, leaf := range netsim.Leaves(scn) {
-			res.ComposedOf = append(res.ComposedOf, leaf.Name())
+			composedOf = append(composedOf, leaf.Name())
 		}
 	}
-
-	if req.Window > 0 {
-		windows, err := trace.WindowsCSRArena(ctx, svc.arena, net, req.Window, p.Duration)
-		if err != nil {
-			svc.arena.ReleaseTrace(trace)
-			return nil, err
-		}
-		roles, rolesErr := patterns.AssignDDoSRoles(zones)
-		res.Windows = make([]WindowResult, 0, len(windows))
-		for k, w := range windows {
-			res.Windows = append(res.Windows, windowResult(k, w, zones, roles, rolesErr, res.Labels))
-		}
-	}
-
-	// The whole-run readings go through the sparse path: one linear
-	// fold into a CSR, analyzed through the accessor interface — no
-	// dense n² materialization.
-	aggStart := time.Now()
-	csr, _ := trace.SparseMatrixArena(svc.arena, net)
-	aggElapsed := time.Since(aggStart)
-	// The sparse fold was the trace's last reader: every value derived
-	// from it (event counts, window CSRs, the aggregate CSR) owns its
-	// own storage, so the trace slab can recycle for the next request.
-	svc.arena.ReleaseTrace(trace)
-	analyzeStart := time.Now()
-	res.Aggregate = analyzeMatrix(csr, zones)
-	analyzeElapsed := time.Since(analyzeStart)
-	res.AggregateCSR = csr
-	res.Timings = Timings{Generate: genElapsed, Aggregate: aggElapsed, Analyze: analyzeElapsed}
-	return res, nil
+	return schedule, composedOf
 }
 
 // windowResult builds one interval's WindowResult with its

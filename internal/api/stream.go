@@ -14,13 +14,13 @@ import (
 	"repro/internal/patterns"
 )
 
-// The streaming variant of Generate. Batch Generate holds the whole
-// run — trace, windows, readings — until everything is done;
-// GenerateStream emits NDJSON-able frames as the run progresses, one
-// meta frame up front, one window frame per sealed aggregation
-// window (bit-identical to the batch WindowResult, because both
-// paths share windowResult and the engine's streaming windows are
-// bit-identical to the batch ones), and one summary frame with the
+// The streaming variant of Generate. Batch Generate runs the same
+// engine fold (netsim.StreamCSRArena) but holds every window and
+// reading until the run is done; GenerateStream emits NDJSON-able
+// frames as the run progresses: one meta frame up front, one window
+// frame per sealed aggregation window (bit-identical to the batch
+// WindowResult, because both paths seal windows in the same fold and
+// build them through windowResult), and one summary frame with the
 // whole-run aggregate analysis at the end.
 //
 // Streaming requests deliberately bypass the result cache and the
@@ -266,16 +266,7 @@ func (svc *Service) GenerateStream(ctx context.Context, req GenerateRequest, emi
 		Duration: p.Duration, Window: req.Window, Windows: nw,
 		Labels: net.Labels(),
 	}
-	if sched, ok := scn.(netsim.Scheduler); ok {
-		for _, ph := range sched.Schedule(p) {
-			meta.Schedule = append(meta.Schedule, Phase{Label: ph.Label, Start: ph.Start, End: ph.End})
-		}
-	}
-	if _, ok := scn.(netsim.Composite); ok {
-		for _, leaf := range netsim.Leaves(scn) {
-			meta.ComposedOf = append(meta.ComposedOf, leaf.Name())
-		}
-	}
+	meta.Schedule, meta.ComposedOf = runHeader(scn, p)
 	if err := send(StreamFrame{Type: FrameMeta, Meta: meta}); err != nil {
 		return sessionErr(fctx, err)
 	}

@@ -12,7 +12,10 @@ import "repro/internal/matrix"
 // Every generation entry point has an *Arena-taking variant
 // (GenerateTraceArena, GenerateCSRArena, StreamTraceArena,
 // StreamCSRArena, Trace.WindowsCSRArena, Trace.SparseMatrixArena);
-// the historical names delegate with a nil arena, and a nil arena
+// the api service pools through StreamCSRArena and GenerateCSRArena
+// only, so its requests draw on the triple pool and never on the
+// event-slab pool, which serves the trace entry points. The
+// historical names delegate with a nil arena, and a nil arena
 // means "allocate fresh" everywhere — the pooled and pool-free paths
 // produce bit-identical output by construction, pinned by the parity
 // tests in arena_test.go and the api layer's pooled-vs-reference

@@ -94,4 +94,14 @@
 // function of its event multiset, streamed windows are bit-identical
 // to Trace.WindowsCSR's for any worker count — pinned by the
 // streaming parity suite.
+//
+// # Entry points the service uses
+//
+// The api service's generate paths, batch and streamed alike, run
+// StreamCSRArena when the request asks for windows and
+// GenerateCSRArena when it does not: neither builds a trace. The
+// trace entry points (GenerateTraceArena, Trace.WindowsCSRArena,
+// Trace.SparseMatrixArena, StreamTraceArena) serve the campaign
+// bridge, the legacy adapters, the examples, and the benchmark's
+// per-layer replay.
 package netsim
