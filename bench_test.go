@@ -287,7 +287,7 @@ func BenchmarkSparseAnalysis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		csr, _, err := netsim.GenerateCSR(s, net, 7, 0, netsim.Params{Duration: 8})
+		csr, _, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, 0, netsim.Params{Duration: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -422,10 +422,14 @@ func BenchmarkGDScriptFib(b *testing.B) {
 
 func BenchmarkNetsimDDoSScenario(b *testing.B) {
 	net := netsim.StandardNetwork()
+	s, ok := netsim.LookupScenario("ddos")
+	if !ok {
+		b.Fatal("ddos scenario missing")
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		trace, _, err := netsim.DDoSScenario(net, rng, 40)
+		trace, err := netsim.GenerateTraceArena(context.Background(), nil, s, net, rng.Int63(), 1, netsim.Params{Duration: 40})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -437,8 +441,8 @@ func BenchmarkNetsimDDoSScenario(b *testing.B) {
 
 // BenchmarkScenarioThroughput measures the concurrent scenario
 // engine's event generation rate (events/s) at 1, 4, and NumCPU
-// workers over the sharded-COO aggregation path — the throughput
-// curve EXPERIMENTS.md records.
+// workers over the sharded-COO aggregation path (GenerateCSRArena)
+// — the throughput curve EXPERIMENTS.md records.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	net := netsim.ScaledNetwork(64)
 	s, ok := netsim.LookupScenario("ddos")
@@ -457,7 +461,7 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 			b.ReportAllocs()
 			events := 0
 			for i := 0; i < b.N; i++ {
-				_, stats, err := netsim.GenerateMatrix(s, net, 7, workers, p)
+				_, stats, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, workers, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -482,7 +486,7 @@ func BenchmarkTraceThroughput(b *testing.B) {
 			b.ReportAllocs()
 			events := 0
 			for i := 0; i < b.N; i++ {
-				trace, err := netsim.GenerateTrace(s, net, 7, workers, p)
+				trace, err := netsim.GenerateTraceArena(context.Background(), nil, s, net, 7, workers, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -570,7 +574,7 @@ func BenchmarkComposedScenario(b *testing.B) {
 			b.ReportAllocs()
 			events := 0
 			for i := 0; i < b.N; i++ {
-				csr, stats, err := netsim.GenerateCSR(s, net, 7, workers, p)
+				csr, stats, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, workers, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -593,7 +597,7 @@ func BenchmarkPermuteCSR(b *testing.B) {
 	if !ok {
 		b.Fatal("background scenario missing")
 	}
-	csr, _, err := netsim.GenerateCSR(s, net, 7, 0, netsim.Params{Duration: 60, Rate: 4000})
+	csr, _, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, 0, netsim.Params{Duration: 60, Rate: 4000})
 	if err != nil {
 		b.Fatal(err)
 	}

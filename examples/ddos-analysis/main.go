@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -31,11 +32,14 @@ func main() {
 	}
 
 	const duration = 40.0
-	attack, phases, err := netsim.DDoSScenario(net, rng, duration)
+	ddos, _ := netsim.LookupScenario("ddos")
+	attack, err := generate(ddos, net, rng, netsim.Params{Duration: duration})
 	if err != nil {
 		log.Fatal(err)
 	}
-	background, err := netsim.Background(net, rng, duration, 2)
+	phases := ddos.(netsim.Scheduler).Schedule(netsim.Params{Duration: duration})
+	benign, _ := netsim.LookupScenario("background")
+	background, err := generate(benign, net, rng, netsim.Params{Duration: duration, Rate: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func main() {
 		len(combined), combined.TotalPackets())
 	fmt.Println("ground truth phases:")
 	for _, p := range phases {
-		fmt.Printf("  [%4.0fs,%4.0fs) %s\n", p.Start, p.End, p.Component)
+		fmt.Printf("  [%4.0fs,%4.0fs) %s\n", p.Start, p.End, p.Label)
 	}
 
 	windows, err := combined.Windows(net, 10, duration)
@@ -57,8 +61,8 @@ func main() {
 	recovered := 0
 	for i, w := range windows {
 		component, conf := patterns.ClassifyDDoSOf(w.Matrix, roles)
-		truth := phases[i].Component
-		ok := component == truth
+		truth := phases[i].Label
+		ok := component.String() == truth
 		if ok {
 			recovered++
 		}
@@ -89,6 +93,12 @@ func main() {
 	}
 	fmt.Printf("victim: %s absorbed %d packets in 10s (%.0f%% of window traffic)\n",
 		net.Labels()[victim], peak, 100*float64(peak)/float64(floodWindow.Matrix.Sum()))
+}
+
+// generate runs a catalog scenario on one worker, drawing its seed
+// from rng.
+func generate(s netsim.Scenario, net *netsim.Network, rng *rand.Rand, p netsim.Params) (netsim.Trace, error) {
+	return netsim.GenerateTraceArena(context.Background(), nil, s, net, rng.Int63(), 1, p)
 }
 
 func mark(ok bool) string {

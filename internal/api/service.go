@@ -469,7 +469,7 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 	m, _, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "module", key)
 		defer end()
-		m, err := bridge.AggregateModuleContext(fctx, scn, net, req.Seed, runtime.NumCPU(), p)
+		m, err := bridge.AggregateModule(fctx, scn, net, req.Seed, runtime.NumCPU(), p)
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}
@@ -508,7 +508,7 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 	c, _, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "campaign", key)
 		defer end()
-		c, err := bridge.CampaignFromScenarioContext(fctx, scn, net, req.Seed, runtime.NumCPU(), p, req.Window)
+		c, err := bridge.CampaignFromScenario(fctx, scn, net, req.Seed, runtime.NumCPU(), p, req.Window)
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}

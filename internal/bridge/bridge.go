@@ -3,7 +3,7 @@
 // rests on — simulated network activity rendered as learning modules
 // a student can load into Traffic Warehouse.
 //
-// ModuleFromScenario renders a scenario's aggregate traffic matrix
+// AggregateModule renders a scenario's aggregate traffic matrix
 // into one core.Module: axis labels come from the netsim.Network,
 // the color grid from the patterns zone classification, and a
 // three-option quiz.Question is synthesized from the matrix itself
@@ -14,8 +14,8 @@
 // overview — a whole course unit from a single catalog entry.
 //
 // Composed scenarios (netsim's composition algebra: Overlay,
-// Sequence, Dilate, Amplify, Relabel) flow through the same paths —
-// ModuleFromSpec renders a declarative spec expression directly —
+// Sequence, Dilate, Amplify, Relabel; netsim.ParseSpec builds them
+// from a declarative spec expression) flow through the same paths,
 // but their aggregate question asks the student to disentangle the
 // mixture: name the set of behaviours layered into the matrix, with
 // near-miss sets as distractors. Their campaigns inherit the merged
@@ -39,49 +39,24 @@ import (
 // Author credited on synthesized modules.
 const Author = "bridge"
 
-// ModuleFromScenario generates the scenario with the default
-// parameters and renders its aggregate traffic matrix as a playable
-// learning module with a synthesized question. The generation runs
-// on the sparse path (netsim.GenerateCSR) and densifies only the
-// final lesson-sized grid.
-func ModuleFromScenario(s netsim.Scenario, net *netsim.Network, seed int64) (*core.Module, error) {
-	return AggregateModule(s, net, seed, netsim.Params{})
-}
-
-// AggregateModule is ModuleFromScenario with explicit scenario
-// parameters.
-func AggregateModule(s netsim.Scenario, net *netsim.Network, seed int64, p netsim.Params) (*core.Module, error) {
-	return AggregateModuleContext(context.Background(), s, net, seed, 0, p)
-}
-
-// AggregateModuleContext is AggregateModule with cancellation and an
-// explicit worker count (≤ 0 selects all CPUs): the underlying
-// generation aborts when ctx is cancelled, so a served authoring
-// request (the api layer's /v1/module) stops working the moment its
-// caller hangs up.
-func AggregateModuleContext(ctx context.Context, s netsim.Scenario, net *netsim.Network, seed int64, workers int, p netsim.Params) (*core.Module, error) {
+// AggregateModule generates the scenario and renders its aggregate
+// traffic matrix as a playable learning module with a synthesized
+// question. The generation runs on the sparse path
+// (netsim.GenerateCSRArena) on the given number of workers (≤ 0
+// selects all CPUs) and densifies only the final lesson-sized grid;
+// it aborts when ctx is cancelled, so a served authoring request
+// (the api layer's /v1/module) stops working the moment its caller
+// hangs up.
+func AggregateModule(ctx context.Context, s netsim.Scenario, net *netsim.Network, seed int64, workers int, p netsim.Params) (*core.Module, error) {
 	zones, err := checkInputs(s, net)
 	if err != nil {
 		return nil, err
 	}
-	csr, _, err := netsim.GenerateCSRContext(ctx, s, net, seed, workers, p)
+	csr, _, err := netsim.GenerateCSRArena(ctx, nil, s, net, seed, workers, p)
 	if err != nil {
 		return nil, fmt.Errorf("bridge: generate %s: %w", s.Name(), err)
 	}
 	return aggregateModule(s, net, zones, csr), nil
-}
-
-// ModuleFromSpec parses a composition expression (see
-// netsim.ParseSpec) and renders the resulting mixture as a playable
-// module whose question asks the student to disentangle the layers —
-// the one-call authoring path from a declarative spec to lesson
-// content.
-func ModuleFromSpec(spec string, net *netsim.Network, seed int64, p netsim.Params) (*core.Module, error) {
-	s, err := netsim.ParseSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("bridge: %w", err)
-	}
-	return AggregateModule(s, net, seed, p)
 }
 
 // aggregateModule renders an already-aggregated run as the

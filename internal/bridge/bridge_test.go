@@ -1,6 +1,7 @@
 package bridge
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -45,7 +46,7 @@ func TestModuleFromScenarioAllCatalog(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			for _, net := range []*netsim.Network{netsim.StandardNetwork(), netsim.ScaledNetwork(64)} {
-				m, err := ModuleFromScenario(s, net, 42)
+				m, err := AggregateModule(context.Background(), s, net, 42, 0, netsim.Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +73,11 @@ func TestModuleFromScenarioAllCatalog(t *testing.T) {
 // true mixture as the gradeable correct answer.
 func TestModuleFromSpecDisentangleQuestion(t *testing.T) {
 	net := netsim.StandardNetwork()
-	m, err := ModuleFromSpec("overlay(background, sequence(scan, ddos))", net, 42, netsim.Params{})
+	s, err := netsim.ParseSpec("overlay(background, sequence(scan, ddos))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := AggregateModule(context.Background(), s, net, 42, 0, netsim.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +101,7 @@ func TestModuleFromSpecDisentangleQuestion(t *testing.T) {
 		t.Errorf("%d answers, want %d", len(m.Answers), quiz.RecommendedChoices)
 	}
 
-	if _, err := ModuleFromSpec("overlay(", net, 42, netsim.Params{}); err == nil {
+	if _, err := netsim.ParseSpec("overlay("); err == nil {
 		t.Error("broken spec accepted")
 	}
 }
@@ -109,7 +114,7 @@ func TestCampaignFromComposedScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CampaignFromScenario(s, netsim.StandardNetwork(), 42, netsim.Params{}, 10)
+	c, err := CampaignFromScenario(context.Background(), s, netsim.StandardNetwork(), 42, 0, netsim.Params{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +152,7 @@ func TestCampaignFromComposedScenario(t *testing.T) {
 // the paper's display guidance even for heavy scenarios.
 func TestModuleMatrixStaysDisplayable(t *testing.T) {
 	s, _ := netsim.LookupScenario("ddos")
-	m, err := AggregateModule(s, netsim.StandardNetwork(), 42, netsim.Params{Scale: 8})
+	m, err := AggregateModule(context.Background(), s, netsim.StandardNetwork(), 42, 0, netsim.Params{Scale: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +174,7 @@ func TestCampaignAllCatalog(t *testing.T) {
 	for _, s := range netsim.Scenarios() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
-			c, err := CampaignFromScenario(s, net, 42, netsim.Params{}, 10)
+			c, err := CampaignFromScenario(context.Background(), s, net, 42, 0, netsim.Params{}, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +225,7 @@ func TestCampaignPhaseQuestions(t *testing.T) {
 	if !ok {
 		t.Fatal("attack scenario missing")
 	}
-	c, err := CampaignFromScenario(s, netsim.StandardNetwork(), 42, netsim.Params{}, 10)
+	c, err := CampaignFromScenario(context.Background(), s, netsim.StandardNetwork(), 42, 0, netsim.Params{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +251,7 @@ func TestCampaignPhaseQuestions(t *testing.T) {
 // references relative to the campaign directory.
 func TestCampaignWriteDirRoundTrip(t *testing.T) {
 	s, _ := netsim.LookupScenario("ddos")
-	c, err := CampaignFromScenario(s, netsim.StandardNetwork(), 42, netsim.Params{}, 10)
+	c, err := CampaignFromScenario(context.Background(), s, netsim.StandardNetwork(), 42, 0, netsim.Params{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +286,7 @@ func TestCampaignWriteDirRoundTrip(t *testing.T) {
 // the warehouse, answer the question, advance — for every lesson.
 func TestCampaignPlaysThroughGame(t *testing.T) {
 	s, _ := netsim.LookupScenario("ddos")
-	c, err := CampaignFromScenario(s, netsim.StandardNetwork(), 42, netsim.Params{}, 10)
+	c, err := CampaignFromScenario(context.Background(), s, netsim.StandardNetwork(), 42, 0, netsim.Params{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,13 +322,13 @@ func TestCampaignPlaysThroughGame(t *testing.T) {
 func TestBridgeRejectsBadInput(t *testing.T) {
 	s, _ := netsim.LookupScenario("ddos")
 	net := netsim.StandardNetwork()
-	if _, err := ModuleFromScenario(nil, net, 1); err == nil {
+	if _, err := AggregateModule(context.Background(), nil, net, 1, 0, netsim.Params{}); err == nil {
 		t.Error("nil scenario accepted")
 	}
-	if _, err := ModuleFromScenario(s, nil, 1); err == nil {
+	if _, err := AggregateModule(context.Background(), s, nil, 1, 0, netsim.Params{}); err == nil {
 		t.Error("nil network accepted")
 	}
-	if _, err := CampaignFromScenario(s, net, 1, netsim.Params{}, 0); err == nil {
+	if _, err := CampaignFromScenario(context.Background(), s, net, 1, 0, netsim.Params{}, 0); err == nil {
 		t.Error("zero window length accepted")
 	}
 	// A network whose cast cannot host the scenario surfaces the
@@ -332,7 +337,7 @@ func TestBridgeRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ModuleFromScenario(s, tiny, 1); err == nil {
+	if _, err := AggregateModule(context.Background(), s, tiny, 1, 0, netsim.Params{}); err == nil {
 		t.Error("undersized network accepted")
 	}
 }

@@ -11,7 +11,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/course"
+	"repro/internal/matrix"
 	"repro/internal/netsim"
+	"repro/internal/patterns"
 )
 
 // Campaign is a whole course synthesized from one catalog entry: an
@@ -32,21 +34,16 @@ type Campaign struct {
 }
 
 // CampaignFromScenario generates the scenario once and renders it
-// into a campaign: the trace aggregates into the overview module
-// (sparse fold, densified only at lesson size) and splits into
-// windowLen-second windows via the single-pass WindowsCSR engine,
-// each non-empty window becoming a timeline module with a question
-// synthesized from its own matrix — the scenario's ground-truth
-// phase when it publishes a schedule, the window's supernode when
-// one stands out, the catalog shape otherwise.
-func CampaignFromScenario(s netsim.Scenario, net *netsim.Network, seed int64, p netsim.Params, windowLen float64) (*Campaign, error) {
-	return CampaignFromScenarioContext(context.Background(), s, net, seed, 0, p, windowLen)
-}
-
-// CampaignFromScenarioContext is CampaignFromScenario with
-// cancellation threaded through the generation and windowing stages
-// and an explicit worker count (≤ 0 selects all CPUs).
-func CampaignFromScenarioContext(ctx context.Context, s netsim.Scenario, net *netsim.Network, seed int64, workers int, p netsim.Params, windowLen float64) (*Campaign, error) {
+// into a campaign. The run streams through netsim.StreamCSRArena on
+// the given number of workers (≤ 0 selects all CPUs): its aggregate
+// CSR becomes the overview module (densified only at lesson size),
+// and each non-empty windowLen-second window up to the configured
+// duration becomes a timeline module with a question synthesized
+// from its own matrix — the scenario's ground-truth phase when it
+// publishes a schedule, the window's supernode when one stands out,
+// the catalog shape otherwise. No trace is built, and cancelling ctx
+// stops the run at chunk granularity.
+func CampaignFromScenario(ctx context.Context, s netsim.Scenario, net *netsim.Network, seed int64, workers int, p netsim.Params, windowLen float64) (*Campaign, error) {
 	zones, err := checkInputs(s, net)
 	if err != nil {
 		return nil, err
@@ -54,24 +51,34 @@ func CampaignFromScenarioContext(ctx context.Context, s netsim.Scenario, net *ne
 	if windowLen <= 0 {
 		return nil, fmt.Errorf("bridge: window length must be positive, got %g", windowLen)
 	}
-	trace, err := netsim.GenerateTraceContext(ctx, s, net, seed, workers, p)
+	// Windows arrive in index order, so a window's position in the
+	// slice is its index in the run.
+	var windows []netsim.SparseWindow
+	csr, _, err := netsim.StreamCSRArena(ctx, nil, s, net, seed, workers, p, windowLen, p.Normalized().Duration,
+		func(_ int, w netsim.SparseWindow) error {
+			windows = append(windows, w)
+			return nil
+		})
 	if err != nil {
 		return nil, fmt.Errorf("bridge: generate %s: %w", s.Name(), err)
 	}
+	return assembleCampaign(s, net, zones, p, windowLen, csr, windows)
+}
+
+// assembleCampaign renders a run's aggregate CSR as the overview
+// lesson and its windows (all of them, in index order) as the
+// timeline lesson, one module per non-empty window, and bundles both
+// under a validated course manifest.
+func assembleCampaign(s netsim.Scenario, net *netsim.Network, zones patterns.Zones, p netsim.Params, windowLen float64, csr *matrix.CSR, windows []netsim.SparseWindow) (*Campaign, error) {
 	title := titleCase(s.Name())
 
 	// Overview: the whole-run aggregate with the shape question.
-	csr, _ := trace.SparseMatrix(net)
 	overview := &core.Lesson{
 		Name:    s.Name() + " overview",
 		Modules: []*core.Module{aggregateModule(s, net, zones, csr)},
 	}
 
 	// Timeline: one module per non-empty window.
-	windows, err := trace.WindowsCSRContext(ctx, net, windowLen, 0)
-	if err != nil {
-		return nil, err
-	}
 	timeline := &core.Lesson{Name: s.Name() + " timeline"}
 	for k, w := range windows {
 		if w.Matrix.NNZ() == 0 {

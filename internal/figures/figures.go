@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -304,10 +305,17 @@ func genFig9() ([]Artifact, string, error) {
 	// window.
 	net := netsim.StandardNetwork()
 	rng := rand.New(rand.NewSource(99))
-	trace, phases, err := netsim.DDoSScenario(net, rng, 40)
+	scn, ok := netsim.LookupScenario("ddos")
+	sched, scheduled := scn.(netsim.Scheduler)
+	if !ok || !scheduled {
+		return nil, "", fmt.Errorf("figures: catalog has no scheduled ddos scenario")
+	}
+	p := netsim.Params{Duration: 40}
+	trace, err := netsim.GenerateTraceArena(context.TODO(), nil, scn, net, rng.Int63(), 1, p)
 	if err != nil {
 		return nil, "", err
 	}
+	phases := sched.Schedule(p)
 	var b strings.Builder
 	b.WriteString("Live netsim DDoS cross-check (10s windows over a 40s scenario):\n")
 	matched := 0
@@ -315,12 +323,12 @@ func genFig9() ([]Artifact, string, error) {
 		window := trace.Between(phase.Start, phase.End)
 		m, _ := window.Matrix(net)
 		got, conf := patterns.ClassifyDDoSOf(m, roles)
-		ok := got == phase.Component
+		ok := got.String() == phase.Label
 		if ok {
 			matched++
 		}
 		fmt.Fprintf(&b, "  [%5.1fs,%5.1fs) %-20s → %-20s conf %.2f %s\n",
-			phase.Start, phase.End, phase.Component, got, conf, okString(ok))
+			phase.Start, phase.End, phase.Label, got, conf, okString(ok))
 	}
 	if matched != len(phases) {
 		return nil, "", fmt.Errorf("figures: netsim DDoS phases matched %d/%d", matched, len(phases))

@@ -9,17 +9,16 @@ import "repro/internal/matrix"
 // an event-slab pool of its own, because the two element types
 // dominate a request's garbage in roughly equal measure.
 //
-// Every generation entry point has an *Arena-taking variant
-// (GenerateTraceArena, GenerateCSRArena, StreamTraceArena,
-// StreamCSRArena, Trace.WindowsCSRArena, Trace.SparseMatrixArena);
-// the api service pools through StreamCSRArena and GenerateCSRArena
-// only, so its requests draw on the triple pool and never on the
-// event-slab pool, which serves the trace entry points. The
-// historical names delegate with a nil arena, and a nil arena
-// means "allocate fresh" everywhere — the pooled and pool-free paths
-// produce bit-identical output by construction, pinned by the parity
-// tests in arena_test.go and the api layer's pooled-vs-reference
-// property suite.
+// Every generation entry point takes an optional arena
+// (GenerateTraceArena, GenerateCSRArena, StreamCSRArena,
+// Trace.WindowsCSRArena, Trace.SparseMatrixArena); the api service
+// pools through StreamCSRArena and GenerateCSRArena only, so its
+// requests draw on the triple pool and never on the event-slab pool,
+// which serves the trace entry points. A nil arena means "allocate
+// fresh" everywhere — the pooled and pool-free paths produce
+// bit-identical output by construction, pinned by the parity tests
+// in arena_test.go and the api layer's pooled-vs-reference property
+// suite.
 //
 // Slab requests are pre-sized from the run's event budget
 // (duration × rate × scale after defaults), divided across chunks,

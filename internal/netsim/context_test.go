@@ -33,11 +33,11 @@ func TestGenerateContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	net := StandardNetwork()
-	if _, err := GenerateTraceContext(ctx, crawlScenario{chunks: 8}, net, 1, 2, Params{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("GenerateTraceContext on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := GenerateTraceArena(ctx, nil, crawlScenario{chunks: 8}, net, 1, 2, Params{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("GenerateTraceArena on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := GenerateCSRContext(ctx, crawlScenario{chunks: 8}, net, 1, 2, Params{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("GenerateCSRContext on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, _, err := GenerateCSRArena(ctx, nil, crawlScenario{chunks: 8}, net, 1, 2, Params{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("GenerateCSRArena on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestGenerateContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := GenerateTraceContext(ctx, s, StandardNetwork(), 1, 2, Params{})
+	_, err := GenerateTraceArena(ctx, nil, s, StandardNetwork(), 1, 2, Params{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -64,42 +64,41 @@ func TestGenerateContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestGenerateContextBackgroundUnchanged: the context-free entry
-// points still generate the exact traffic they always did (they are
-// the Background delegates).
+// TestGenerateContextBackgroundUnchanged: a live background context
+// changes nothing about the traffic a run generates.
 func TestGenerateContextBackgroundUnchanged(t *testing.T) {
 	s, ok := LookupScenario("scan")
 	if !ok {
 		t.Fatal("catalog missing scan")
 	}
 	net := StandardNetwork()
-	want, err := GenerateTrace(s, net, 3, 2, Params{Duration: 6})
+	want, err := GenerateTraceArena(context.Background(), nil, s, net, 3, 2, Params{Duration: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GenerateTraceContext(context.Background(), s, net, 3, 2, Params{Duration: 6})
+	got, err := GenerateTraceArena(context.Background(), nil, s, net, 3, 2, Params{Duration: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Errorf("ctx variant generated %d events, plain %d", len(got), len(want))
+		t.Errorf("second run generated %d events, first %d", len(got), len(want))
 	}
 }
 
 func TestWindowsCSRContextCancelled(t *testing.T) {
 	s, _ := LookupScenario("background")
 	net := StandardNetwork()
-	trace, err := GenerateTrace(s, net, 1, 2, Params{Duration: 10})
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, 1, 2, Params{Duration: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := trace.WindowsCSRContext(ctx, net, 2, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("WindowsCSRContext on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := trace.WindowsCSRArena(ctx, nil, net, 2, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("WindowsCSRArena on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	// And a live context still windows normally.
-	windows, err := trace.WindowsCSRContext(context.Background(), net, 2, 0)
+	windows, err := trace.WindowsCSRArena(context.Background(), nil, net, 2, 0)
 	if err != nil || len(windows) == 0 {
 		t.Errorf("live-context windowing failed: %v (%d windows)", err, len(windows))
 	}

@@ -69,39 +69,43 @@
 // # Concurrency model
 //
 // Generation is deterministic-parallel. A scenario's Chunks method
-// fixes a worker-count-independent partition of its workload;
-// GenerateTrace and GenerateMatrix fan the chunk indices across a
-// worker pool, seeding chunk k's RNG from (seed, k) by splitmix64.
-// Workers accumulate into private stores — per-chunk trace slots, or
-// per-worker sparse COO shards merged by matrix.MergeCOOArena, whose
-// duplicate-summing compaction is order-insensitive — so for a given
-// (scenario, network, seed, params) the aggregate output is
-// bit-identical on 1 worker or N. The legacy Background, Scan,
-// AttackScenario, and DDoSScenario functions are thin adapters
-// running the same scripts on one worker.
+// fixes a worker-count-independent partition of its workload; the
+// engine fans the chunk indices across a worker pool, seeding chunk
+// k's RNG from (seed, k) by splitmix64. Workers accumulate into
+// private stores — per-chunk trace slots, or per-worker sparse COO
+// shards merged by matrix.MergeCOOArena, whose duplicate-summing
+// compaction is order-insensitive — so for a given (scenario,
+// network, seed, params) the aggregate output is bit-identical on 1
+// worker or N.
 //
-// # Streaming
+// # Entry points
 //
-// The batch entry points materialize everything before returning;
-// StreamTrace and StreamCSR are their bounded-memory siblings.
-// StreamTrace delivers the trace as chunk-ordered frames through a
-// back-pressured reorder ring; StreamCSR folds events straight into
-// an incremental per-window compactor and hands each window's CSR to
-// a callback the moment it seals — long before the run completes.
+// Each operation has one function. It takes a context first (a
+// cancelled context stops the run at chunk granularity) and an
+// optional *Arena second (nil allocates fresh, with bit-identical
+// output); Trace.SparseMatrixArena, a single linear fold, takes only
+// the arena:
+//
+//   - GenerateTraceArena materializes the sorted event trace; the
+//     dense views (Windows, Matrix, Assoc, Between) and the sparse
+//     ones (Trace.WindowsCSRArena, Trace.SparseMatrixArena) read it.
+//   - GenerateCSRArena folds the run straight into the aggregate CSR
+//     without building a trace.
+//   - StreamCSRArena is its windowed, bounded-memory sibling: it
+//     folds events into an incremental per-window compactor and hands
+//     each window's CSR to a callback the moment it seals — long
+//     before the run completes — then returns the aggregate CSR.
+//
 // Sealing is driven by the optional ChunkSpanner interface
 // (conservative per-chunk time bounds; every catalog entry and
 // combinator implements it), and because a window's CSR is a pure
 // function of its event multiset, streamed windows are bit-identical
-// to Trace.WindowsCSR's for any worker count — pinned by the
+// to Trace.WindowsCSRArena's for any worker count — pinned by the
 // streaming parity suite.
 //
-// # Entry points the service uses
-//
-// The api service's generate paths, batch and streamed alike, run
-// StreamCSRArena when the request asks for windows and
-// GenerateCSRArena when it does not: neither builds a trace. The
-// trace entry points (GenerateTraceArena, Trace.WindowsCSRArena,
-// Trace.SparseMatrixArena, StreamTraceArena) serve the campaign
-// bridge, the legacy adapters, the examples, and the benchmark's
-// per-layer replay.
+// The api service's generate paths, the campaign bridge, and the
+// player's course rendering all run StreamCSRArena or
+// GenerateCSRArena: no served route builds a trace. The trace entry
+// points serve the Fig 9 cross-check, the ddos-analysis example, and
+// the benchmark's per-layer replay.
 package netsim

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/matrix"
@@ -78,19 +79,14 @@ func (t Trace) Matrix(net *Network) (*matrix.Dense, int) {
 	return t.Assoc().ToDense(net.Labels())
 }
 
-// SparseMatrix aggregates the whole trace onto a network's axis as a
-// CSR, never materializing the n² cells: one linear fold into a COO
-// followed by compaction. Events naming unknown hosts are counted in
-// the returned dropped packet total, mirroring Matrix.
-func (t Trace) SparseMatrix(net *Network) (*matrix.CSR, int) {
-	return t.SparseMatrixArena(nil, net)
-}
-
-// SparseMatrixArena is SparseMatrix with the COO accumulator's
-// storage pooled in an arena (nil allocates fresh — identical output
-// either way). The accumulator is pre-sized to the trace length and
-// released before returning; the CSR's arrays are freshly allocated
-// and the caller's forever.
+// SparseMatrixArena aggregates the whole trace onto a network's axis
+// as a CSR, never materializing the n² cells: one linear fold into a
+// COO followed by compaction. Events naming unknown hosts are counted
+// in the returned dropped packet total, mirroring Matrix. The COO
+// accumulator's storage is pooled in the arena (nil allocates fresh —
+// identical output either way); it is pre-sized to the trace length
+// and released before returning, and the CSR's arrays are freshly
+// allocated and the caller's forever.
 func (t Trace) SparseMatrixArena(a *Arena, net *Network) (*matrix.CSR, int) {
 	n := net.Len()
 	hint := divHint(len(t), 1)
@@ -133,12 +129,12 @@ type Window struct {
 // whose last event falls on a window boundary loses nothing; only
 // events beyond the last window's end are excluded.
 //
-// Windows is a thin dense adapter over WindowsCSR: the trace is
-// folded sparsely in a single pass and each window densifies only at
-// the end, so the two views are cell-for-cell identical by
+// Windows is a thin dense adapter over WindowsCSRArena: the trace
+// is folded sparsely in a single pass and each window densifies only
+// at the end, so the two views are cell-for-cell identical by
 // construction.
 func (t Trace) Windows(net *Network, windowLen, horizon float64) ([]Window, error) {
-	sparse, err := t.WindowsCSR(net, windowLen, horizon)
+	sparse, err := t.WindowsCSRArena(context.TODO(), nil, net, windowLen, horizon)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -59,26 +60,26 @@ func TestGenerationDeterministicAcrossWorkers(t *testing.T) {
 	p := Params{Duration: 20, Rate: 6, Scale: 3}
 	const seed = 1234
 	for _, s := range Scenarios() {
-		serialTrace, err := GenerateTrace(s, net, seed, 1, p)
+		serialTrace, err := GenerateTraceArena(context.Background(), nil, s, net, seed, 1, p)
 		if err != nil {
 			t.Fatalf("%s: serial trace: %v", s.Name(), err)
 		}
 		if len(serialTrace) == 0 {
 			t.Fatalf("%s: empty trace", s.Name())
 		}
-		serialCOO, serialStats, err := GenerateMatrix(s, net, seed, 1, p)
+		serialCOO, serialStats, err := generateMatrixArena(context.Background(), nil, s, net, seed, 1, p)
 		if err != nil {
 			t.Fatalf("%s: serial matrix: %v", s.Name(), err)
 		}
 		for _, workers := range []int{2, 7, 0} { // 0 = NumCPU
-			trace, err := GenerateTrace(s, net, seed, workers, p)
+			trace, err := GenerateTraceArena(context.Background(), nil, s, net, seed, workers, p)
 			if err != nil {
 				t.Fatalf("%s: %d-worker trace: %v", s.Name(), workers, err)
 			}
 			if !reflect.DeepEqual(trace, serialTrace) {
 				t.Fatalf("%s: %d-worker trace differs from serial", s.Name(), workers)
 			}
-			coo, stats, err := GenerateMatrix(s, net, seed, workers, p)
+			coo, stats, err := generateMatrixArena(context.Background(), nil, s, net, seed, workers, p)
 			if err != nil {
 				t.Fatalf("%s: %d-worker matrix: %v", s.Name(), workers, err)
 			}
@@ -99,12 +100,12 @@ func TestGenerateMatrixMatchesTrace(t *testing.T) {
 	net := StandardNetwork()
 	p := Params{Duration: 30, Rate: 5, Scale: 2}
 	for _, s := range Scenarios() {
-		trace, err := GenerateTrace(s, net, 99, 4, p)
+		trace, err := GenerateTraceArena(context.Background(), nil, s, net, 99, 4, p)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		fromTrace, dropped := trace.Matrix(net)
-		coo, stats, err := GenerateMatrix(s, net, 99, 4, p)
+		coo, stats, err := generateMatrixArena(context.Background(), nil, s, net, 99, 4, p)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -125,18 +126,18 @@ func TestGenerateMatrixMatchesTrace(t *testing.T) {
 func TestScaleMultipliesVolume(t *testing.T) {
 	net := StandardNetwork()
 	s, _ := LookupScenario("ddos")
-	_, one, err := GenerateMatrix(s, net, 5, 2, Params{Scale: 1})
+	_, one, err := generateMatrixArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, four, err := GenerateMatrix(s, net, 5, 2, Params{Scale: 4})
+	_, four, err := generateMatrixArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if four.Events != 4*one.Events {
 		t.Errorf("scale 4 events = %d, want %d", four.Events, 4*one.Events)
 	}
-	trace, err := GenerateTrace(s, net, 5, 2, Params{Duration: 40, Scale: 4})
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, 5, 2, Params{Duration: 40, Scale: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %q missing", name)
 		}
-		coo, _, err := GenerateMatrix(s, net, 31, 4, Params{})
+		coo, _, err := generateMatrixArena(context.Background(), nil, s, net, 31, 4, Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -179,7 +180,7 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 	}
 	// The flash crowd is also the live internal supernode of Fig 6c.
 	s, _ := LookupScenario("flashcrowd")
-	coo, _, err := GenerateMatrix(s, net, 31, 4, Params{})
+	coo, _, err := generateMatrixArena(context.Background(), nil, s, net, 31, 4, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +222,13 @@ func TestSchedulerGroundTruth(t *testing.T) {
 func TestGenerateErrors(t *testing.T) {
 	net := StandardNetwork()
 	s, _ := LookupScenario("attack")
-	if _, err := GenerateTrace(nil, net, 1, 1, Params{}); err == nil {
+	if _, err := GenerateTraceArena(context.Background(), nil, nil, net, 1, 1, Params{}); err == nil {
 		t.Error("nil scenario accepted")
 	}
-	if _, err := GenerateTrace(s, nil, 1, 1, Params{}); err == nil {
+	if _, err := GenerateTraceArena(context.Background(), nil, s, nil, 1, 1, Params{}); err == nil {
 		t.Error("nil network accepted")
 	}
-	if _, _, err := GenerateMatrix(nil, net, 1, 1, Params{}); err == nil {
+	if _, _, err := generateMatrixArena(context.Background(), nil, nil, net, 1, 1, Params{}); err == nil {
 		t.Error("nil scenario accepted for matrix")
 	}
 	// An undersized cast must error through the concurrent path too,
@@ -241,10 +242,10 @@ func TestGenerateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		if _, err := GenerateTrace(s, small, 1, workers, Params{Scale: 8}); err == nil {
+		if _, err := GenerateTraceArena(context.Background(), nil, s, small, 1, workers, Params{Scale: 8}); err == nil {
 			t.Errorf("undersized network accepted at %d workers", workers)
 		}
-		if _, _, err := GenerateMatrix(s, small, 1, workers, Params{Scale: 8}); err == nil {
+		if _, _, err := generateMatrixArena(context.Background(), nil, s, small, 1, workers, Params{Scale: 8}); err == nil {
 			t.Errorf("undersized network accepted for matrix at %d workers", workers)
 		}
 	}
@@ -268,22 +269,23 @@ func TestScaledNetwork(t *testing.T) {
 		}
 		// Every catalog scenario must be runnable on a scaled net.
 		for _, s := range Scenarios() {
-			if _, err := GenerateTrace(s, net, 2, 2, Params{Duration: 10, Rate: 2}); err != nil {
+			if _, err := GenerateTraceArena(context.Background(), nil, s, net, 2, 2, Params{Duration: 10, Rate: 2}); err != nil {
 				t.Errorf("ScaledNetwork(%d) cannot run %s: %v", hosts, s.Name(), err)
 			}
 		}
 	}
 }
 
-// TestLegacyAdaptersStayDeterministic pins the adapter contract: the
-// same seeded RNG reproduces the same trace.
+// TestLegacyAdaptersStayDeterministic pins seeded reproducibility of
+// a one-worker catalog run: the same seeded RNG reproduces the same
+// trace.
 func TestLegacyAdaptersStayDeterministic(t *testing.T) {
 	net := StandardNetwork()
-	a, _, err := AttackScenario(net, rand.New(rand.NewSource(7)), 40)
+	a, _, err := catalogTrace("attack", net, rand.New(rand.NewSource(7)), Params{Duration: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := AttackScenario(net, rand.New(rand.NewSource(7)), 40)
+	b, _, err := catalogTrace("attack", net, rand.New(rand.NewSource(7)), Params{Duration: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -158,11 +160,12 @@ func TestWindowsDefaultHorizon(t *testing.T) {
 
 func TestBackgroundDeterministicAndBenign(t *testing.T) {
 	net := StandardNetwork()
-	a, err := Background(net, rand.New(rand.NewSource(9)), 20, 4)
+	p := Params{Duration: 20, Rate: 4}
+	a, _, err := catalogTrace("background", net, rand.New(rand.NewSource(9)), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Background(net, rand.New(rand.NewSource(9)), 20, 4)
+	b, _, err := catalogTrace("background", net, rand.New(rand.NewSource(9)), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,17 +185,11 @@ func TestBackgroundDeterministicAndBenign(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Background(net, nil, 10, 1); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := Background(net, rand.New(rand.NewSource(1)), -1, 1); err == nil {
-		t.Error("negative duration accepted")
-	}
 }
 
 func TestScanShapesAsSupernode(t *testing.T) {
 	net := StandardNetwork()
-	trace, err := Scan(net, rand.New(rand.NewSource(3)), 10)
+	trace, _, err := catalogTrace("scan", net, rand.New(rand.NewSource(3)), Params{Duration: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +207,7 @@ func TestScanShapesAsSupernode(t *testing.T) {
 func TestAttackScenarioPhasesClassify(t *testing.T) {
 	net := StandardNetwork()
 	zones, _ := net.Zones()
-	trace, phases, err := AttackScenario(net, rand.New(rand.NewSource(21)), 40)
+	trace, phases, err := catalogTrace("attack", net, rand.New(rand.NewSource(21)), Params{Duration: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +219,15 @@ func TestAttackScenarioPhasesClassify(t *testing.T) {
 	for _, p := range phases {
 		window := trace.Between(p.Start, p.End)
 		if len(window) == 0 {
-			t.Fatalf("phase %v has no events", p.Stage)
+			t.Fatalf("phase %v has no events", p.Label)
 		}
 		m, _ := window.Matrix(net)
 		got, conf := patterns.ClassifyAttackStageOf(m, zones)
-		if got != p.Stage {
-			t.Errorf("phase %v classified as %v (%.2f)", p.Stage, got, conf)
+		if got.String() != p.Label {
+			t.Errorf("phase %v classified as %v (%.2f)", p.Label, got, conf)
 		}
 		if conf != 1.0 {
-			t.Errorf("phase %v confidence %.2f", p.Stage, conf)
+			t.Errorf("phase %v confidence %.2f", p.Label, conf)
 		}
 	}
 }
@@ -242,7 +239,7 @@ func TestDDoSScenarioPhasesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, phases, err := DDoSScenario(net, rand.New(rand.NewSource(77)), 40)
+	trace, phases, err := catalogTrace("ddos", net, rand.New(rand.NewSource(77)), Params{Duration: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +247,8 @@ func TestDDoSScenarioPhasesClassify(t *testing.T) {
 		window := trace.Between(p.Start, p.End)
 		m, _ := window.Matrix(net)
 		got, conf := patterns.ClassifyDDoSOf(m, roles)
-		if got != p.Component || conf != 1.0 {
-			t.Errorf("phase %v → %v (%.2f)", p.Component, got, conf)
+		if got.String() != p.Label || conf != 1.0 {
+			t.Errorf("phase %v → %v (%.2f)", p.Label, got, conf)
 		}
 	}
 	// The flood dominates traffic volume.
@@ -265,16 +262,6 @@ func TestDDoSScenarioPhasesClassify(t *testing.T) {
 }
 
 func TestScenariosRejectBadParams(t *testing.T) {
-	net := StandardNetwork()
-	if _, _, err := AttackScenario(net, nil, 10); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, _, err := AttackScenario(net, rand.New(rand.NewSource(1)), 0); err == nil {
-		t.Error("zero duration accepted")
-	}
-	if _, _, err := DDoSScenario(net, nil, 10); err == nil {
-		t.Error("nil rng accepted")
-	}
 	// A network with too few adversaries cannot host the scenarios.
 	small, err := NewNetwork([]Host{
 		{Name: "WS1", Role: RoleWorkstation},
@@ -284,10 +271,10 @@ func TestScenariosRejectBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := AttackScenario(small, rand.New(rand.NewSource(1)), 10); err == nil {
+	if _, _, err := catalogTrace("attack", small, rand.New(rand.NewSource(1)), Params{Duration: 10}); err == nil {
 		t.Error("undersized network accepted for attack")
 	}
-	if _, _, err := DDoSScenario(small, rand.New(rand.NewSource(1)), 10); err == nil {
+	if _, _, err := catalogTrace("ddos", small, rand.New(rand.NewSource(1)), Params{Duration: 10}); err == nil {
 		t.Error("undersized network accepted for ddos")
 	}
 }
@@ -295,7 +282,7 @@ func TestScenariosRejectBadParams(t *testing.T) {
 func TestEventsStayInDisplayableRange(t *testing.T) {
 	// Scenario packet counts are lesson-friendly (small per event).
 	net := StandardNetwork()
-	trace, _, err := DDoSScenario(net, rand.New(rand.NewSource(5)), 40)
+	trace, _, err := catalogTrace("ddos", net, rand.New(rand.NewSource(5)), Params{Duration: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,4 +291,23 @@ func TestEventsStayInDisplayableRange(t *testing.T) {
 			t.Fatalf("event packets %d outside display guidance", e.Packets)
 		}
 	}
+}
+
+// catalogTrace runs a catalog entry on one worker with its run seed
+// drawn from rng, returning the trace and the entry's ground-truth
+// schedule (nil when it publishes none).
+func catalogTrace(name string, net *Network, rng *rand.Rand, p Params) (Trace, []Phase, error) {
+	s, ok := LookupScenario(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("no catalog entry %q", name)
+	}
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, rng.Int63(), 1, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	var phases []Phase
+	if sched, ok := s.(Scheduler); ok {
+		phases = sched.Schedule(p)
+	}
+	return trace, phases, nil
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // The sparse-end-to-end parity suite: for every catalog scenario the
-// CSR analysis path (GenerateCSR → matrix.Matrix accessor) must
+// CSR analysis path (GenerateCSRArena → matrix.Matrix accessor) must
 // produce byte-identical results to the dense path on every analysis
 // helper and on the behaviour classifier. This is the tentpole
 // invariant that lets large runs skip dense materialization without
@@ -32,7 +33,7 @@ func TestCatalogCSRAnalysisParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coo, _, err := GenerateMatrix(s, net, 42, 0, Params{})
+				coo, _, err := generateMatrixArena(context.Background(), nil, s, net, 42, 0, Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,11 +109,11 @@ func TestGenerateCSRMatchesGenerateMatrix(t *testing.T) {
 		t.Fatal("ddos scenario missing")
 	}
 	net := ScaledNetwork(32)
-	coo, wantStats, err := GenerateMatrix(s, net, 7, 3, Params{})
+	coo, wantStats, err := generateMatrixArena(context.Background(), nil, s, net, 7, 3, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr, gotStats, err := GenerateCSR(s, net, 7, 3, Params{})
+	csr, gotStats, err := GenerateCSRArena(context.Background(), nil, s, net, 7, 3, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,22 +121,22 @@ func TestGenerateCSRMatchesGenerateMatrix(t *testing.T) {
 		t.Errorf("stats = %+v, want %+v", gotStats, wantStats)
 	}
 	if !csr.ToDense().Equal(coo.ToDense()) {
-		t.Error("GenerateCSR matrix differs from GenerateMatrix")
+		t.Error("GenerateCSRArena matrix differs from generateMatrixArena")
 	}
 	if csr.NNZ() != coo.Compact().Len() {
 		t.Errorf("nnz = %d, want %d", csr.NNZ(), coo.Compact().Len())
 	}
 	// Folding the materialized trace (twsim's aggregate path) must
 	// agree with direct sparse generation.
-	trace, err := GenerateTrace(s, net, 7, 3, Params{})
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, 7, 3, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, dropped := trace.SparseMatrix(net)
+	folded, dropped := trace.SparseMatrixArena(nil, net)
 	if dropped != wantStats.Dropped {
-		t.Errorf("SparseMatrix dropped = %d, want %d", dropped, wantStats.Dropped)
+		t.Errorf("SparseMatrixArena dropped = %d, want %d", dropped, wantStats.Dropped)
 	}
 	if !folded.ToDense().Equal(coo.ToDense()) {
-		t.Error("Trace.SparseMatrix differs from GenerateMatrix aggregate")
+		t.Error("Trace.SparseMatrixArena differs from generateMatrixArena aggregate")
 	}
 }

@@ -90,10 +90,9 @@ func (backgroundScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int
 		return fmt.Errorf("netsim: background needs workstations and a server")
 	}
 	start, end := secondSpan(p, chunk)
-	// Allocate events so the chunks total ⌊rate·duration⌋ exactly,
-	// matching the legacy Background volume: fractional rates below
-	// one event/sec spread across seconds instead of rounding to
-	// zero everywhere.
+	// Allocate events so the chunks total ⌊rate·duration⌋ exactly:
+	// fractional rates below one event/sec spread across seconds
+	// instead of rounding to zero everywhere.
 	n := int(math.Floor(p.Rate*end)) - int(math.Floor(p.Rate*start))
 	for k := 0; k < n; k++ {
 		t := start + rng.Float64()*(end-start)
@@ -166,25 +165,16 @@ func (attackScenario) Shape() string {
 
 func (attackScenario) Chunks(net *Network, p Params) int { return p.Scale }
 
-// stagePhases is the typed schedule the legacy API returns.
-func (attackScenario) stagePhases(p Params) []AttackPhase {
-	quarter := p.Duration / 4
-	return []AttackPhase{
-		{Stage: patterns.StagePlanning, Start: 0, End: quarter},
-		{Stage: patterns.StageStaging, Start: quarter, End: 2 * quarter},
-		{Stage: patterns.StageInfiltration, Start: 2 * quarter, End: 3 * quarter},
-		{Stage: patterns.StageLateral, Start: 3 * quarter, End: p.Duration},
-	}
-}
-
-// Schedule reports the stage timeline as generic ground-truth phases.
-func (s attackScenario) Schedule(p Params) []Phase {
+// Schedule reports the stage timeline as ground-truth phases.
+func (attackScenario) Schedule(p Params) []Phase {
 	p = p.withDefaults()
-	var out []Phase
-	for _, ph := range s.stagePhases(p) {
-		out = append(out, Phase{Label: ph.Stage.String(), Start: ph.Start, End: ph.End})
+	quarter := p.Duration / 4
+	return []Phase{
+		{Label: patterns.StagePlanning.String(), Start: 0, End: quarter},
+		{Label: patterns.StageStaging.String(), Start: quarter, End: 2 * quarter},
+		{Label: patterns.StageInfiltration.String(), Start: 2 * quarter, End: 3 * quarter},
+		{Label: patterns.StageLateral.String(), Start: 3 * quarter, End: p.Duration},
 	}
-	return out
 }
 
 func (s attackScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int, emit func(Event)) error {
@@ -194,8 +184,8 @@ func (s attackScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int, 
 	if len(advs) < 2 || len(exts) == 0 || len(blues) < 2 {
 		return fmt.Errorf("netsim: attack needs ≥2 adversaries, externals, ≥2 blue hosts")
 	}
-	phases := s.stagePhases(p)
-	jitter := func(ph AttackPhase) float64 {
+	phases := s.Schedule(p)
+	jitter := func(ph Phase) float64 {
 		return ph.Start + rng.Float64()*(ph.End-ph.Start)
 	}
 	// Planning: adversaries coordinate pairwise in red space.
@@ -253,26 +243,16 @@ func (ddosScenario) Shape() string { return "fan-in flood column on the victim w
 
 func (ddosScenario) Chunks(net *Network, p Params) int { return p.Scale }
 
-// componentPhases is the typed schedule the legacy API returns.
-func (ddosScenario) componentPhases(p Params) []DDoSPhase {
-	quarter := p.Duration / 4
-	return []DDoSPhase{
-		{Component: patterns.DDoSC2, Start: 0, End: quarter},
-		{Component: patterns.DDoSBotnet, Start: quarter, End: 2 * quarter},
-		{Component: patterns.DDoSAttack, Start: 2 * quarter, End: 3 * quarter},
-		{Component: patterns.DDoSBackscatter, Start: 3 * quarter, End: p.Duration},
-	}
-}
-
-// Schedule reports the component timeline as generic ground-truth
-// phases.
-func (s ddosScenario) Schedule(p Params) []Phase {
+// Schedule reports the component timeline as ground-truth phases.
+func (ddosScenario) Schedule(p Params) []Phase {
 	p = p.withDefaults()
-	var out []Phase
-	for _, ph := range s.componentPhases(p) {
-		out = append(out, Phase{Label: ph.Component.String(), Start: ph.Start, End: ph.End})
+	quarter := p.Duration / 4
+	return []Phase{
+		{Label: patterns.DDoSC2.String(), Start: 0, End: quarter},
+		{Label: patterns.DDoSBotnet.String(), Start: quarter, End: 2 * quarter},
+		{Label: patterns.DDoSAttack.String(), Start: 2 * quarter, End: 3 * quarter},
+		{Label: patterns.DDoSBackscatter.String(), Start: 3 * quarter, End: p.Duration},
 	}
-	return out
 }
 
 func (s ddosScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int, emit func(Event)) error {
@@ -286,8 +266,8 @@ func (s ddosScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int, em
 	}
 	labels := net.Labels()
 	name := func(i int) string { return labels[i] }
-	phases := s.componentPhases(p)
-	jitter := func(ph DDoSPhase) float64 {
+	phases := s.Schedule(p)
+	jitter := func(ph Phase) float64 {
 		return ph.Start + rng.Float64()*(ph.End-ph.Start)
 	}
 	// C2 sync.
@@ -502,95 +482,4 @@ func (beaconScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int, em
 		}
 	}
 	return nil
-}
-
-// ——— legacy single-threaded API ———
-
-// The four original scenario functions remain as thin adapters over
-// the catalog: each seeds the chunked engine from the caller's RNG
-// stream and runs it on one worker, so existing callers keep their
-// (seed-deterministic) behaviour while the scripts live in exactly
-// one place.
-
-// AttackPhase is one timed stage of the attack scenario.
-type AttackPhase struct {
-	// Stage is the pattern-library stage this phase acts out.
-	Stage patterns.AttackStage
-	// Start and End bound the phase in seconds.
-	Start, End float64
-}
-
-// DDoSPhase is one timed component of the DDoS scenario.
-type DDoSPhase struct {
-	// Component is the pattern-library component this phase acts
-	// out.
-	Component patterns.DDoSComponent
-	// Start and End bound the phase in seconds.
-	Start, End float64
-}
-
-// Background emits benign traffic for the duration: workstations
-// talk to the server and browse the externals, and the server
-// replies. eventsPerSecond controls intensity. The result is the
-// "random background noise" the paper suggests mixing into harder
-// exercises.
-func Background(net *Network, rng *rand.Rand, duration, eventsPerSecond float64) (Trace, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("netsim: nil random source")
-	}
-	if duration <= 0 || eventsPerSecond <= 0 {
-		return nil, fmt.Errorf("netsim: duration and rate must be positive")
-	}
-	return GenerateTrace(backgroundScenario{}, net, rng.Int63(), 1,
-		Params{Duration: duration, Rate: eventsPerSecond})
-}
-
-// Scan emits a reconnaissance sweep: one adversary probes every
-// blue host once, spread across the duration — the external
-// supernode shape appearing in live traffic.
-func Scan(net *Network, rng *rand.Rand, duration float64) (Trace, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("netsim: nil random source")
-	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("netsim: duration must be positive")
-	}
-	return GenerateTrace(scanScenario{}, net, rng.Int63(), 1, Params{Duration: duration})
-}
-
-// AttackScenario emits the four-stage notional attack, each stage
-// occupying a quarter of the duration. It returns the trace and the
-// phase schedule (ground truth for the analyst examples).
-func AttackScenario(net *Network, rng *rand.Rand, duration float64) (Trace, []AttackPhase, error) {
-	if rng == nil {
-		return nil, nil, fmt.Errorf("netsim: nil random source")
-	}
-	if duration <= 0 {
-		return nil, nil, fmt.Errorf("netsim: duration must be positive")
-	}
-	p := Params{Duration: duration}
-	trace, err := GenerateTrace(attackScenario{}, net, rng.Int63(), 1, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trace, attackScenario{}.stagePhases(p.withDefaults()), nil
-}
-
-// DDoSScenario emits the four-component DDoS: C2 coordination,
-// identical C2→bot instructions, the flood on the victim server,
-// and the backscatter of replies. Roles follow the pattern
-// library's standard cast so the classifier's ground truth matches.
-func DDoSScenario(net *Network, rng *rand.Rand, duration float64) (Trace, []DDoSPhase, error) {
-	if rng == nil {
-		return nil, nil, fmt.Errorf("netsim: nil random source")
-	}
-	if duration <= 0 {
-		return nil, nil, fmt.Errorf("netsim: duration must be positive")
-	}
-	p := Params{Duration: duration}
-	trace, err := GenerateTrace(ddosScenario{}, net, rng.Int63(), 1, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trace, ddosScenario{}.componentPhases(p.withDefaults()), nil
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,7 +63,7 @@ func TestParseSpecRunsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := StandardNetwork()
-	base, stats, err := GenerateCSR(s, net, 42, 1, Params{})
+	base, stats, err := GenerateCSRArena(context.Background(), nil, s, net, 42, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestParseSpecRunsEndToEnd(t *testing.T) {
 		t.Fatal("composed spec generated no traffic")
 	}
 	for _, workers := range []int{4, 16} {
-		got, _, err := GenerateCSR(s, net, 42, workers, Params{})
+		got, _, err := GenerateCSRArena(context.Background(), nil, s, net, 42, workers, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestRegisterSpecAddsCatalogEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := GenerateCSR(nested, StandardNetwork(), 1, 2, composeParams); err != nil {
+	if _, _, err := GenerateCSRArena(context.Background(), nil, nested, StandardNetwork(), 1, 2, composeParams); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate registration is rejected like any catalog collision.

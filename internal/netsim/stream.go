@@ -13,20 +13,14 @@ import (
 
 // The streaming generation engine. The batch engine (generator.go)
 // materializes every event before any analysis runs, so memory scales
-// with duration×rate and nothing is observable mid-run. The two entry
-// points here keep the same chunked determinism contract while
-// bounding memory by chunk and window size instead of trace size:
-//
-//   - StreamTrace delivers the event stream itself, chunk by chunk in
-//     chunk order, holding at most a small reorder ring of chunk
-//     buffers — the raw feed for consumers that want events, not
-//     matrices.
-//   - StreamCSR folds events straight into an incremental per-window
-//     compactor (matrix.WindowCompactor) and finalizes each window —
-//     sealed CSR, in order — as soon as every chunk that could touch
-//     it has finished, using the ChunkSpanner time-locality contract.
-//     Time-to-first-window drops from O(run) to O(window) for
-//     time-local scenarios.
+// with duration×rate and nothing is observable mid-run.
+// StreamCSRArena keeps the same chunked determinism contract while
+// bounding memory by chunk and window size instead of trace size: it
+// folds events straight into an incremental per-window compactor
+// (matrix.WindowCompactor) and finalizes each window — sealed CSR, in
+// order — as soon as every chunk that could touch it has finished,
+// using the ChunkSpanner time-locality contract. Time-to-first-window
+// drops from O(run) to O(window) for time-local scenarios.
 //
 // Determinism survives because a window's CSR is a pure function of
 // the event multiset that lands in it: chunks derive all randomness
@@ -37,180 +31,28 @@ import (
 // (stream_test.go) pins this across the catalog, composed specs, and
 // workers 1/4/16.
 
-// TraceFrame is one in-order slice of a streamed trace: a run of
-// events from a single chunk, in that chunk's emission order. Frames
-// arrive in chunk order, so the concatenation of all frames equals
-// the batch engine's pre-sort trace exactly; a stable time sort of
-// the collected events reproduces GenerateTrace bit for bit.
-type TraceFrame struct {
-	// Chunk is the owning chunk's index.
-	Chunk int
-	// Events is the frame's slice of the chunk's emissions, at most
-	// the batch size handed to StreamTrace. The slice is only valid
-	// until the yield callback returns.
-	Events []Event
-}
-
-// StreamTrace generates the scenario and delivers its events through
-// yield as in-order frames without ever materializing the full trace:
-// workers generate chunks concurrently, a bounded reorder ring puts
-// the finished buffers back into chunk order, and a slow consumer
-// backpressures the producers, so peak memory is O(workers × chunk)
-// regardless of run length. batch caps the events per frame (≤ 0
-// delivers each chunk as one frame); empty chunks produce no frame.
-// A yield error or a cancelled ctx stops generation promptly and is
-// returned.
-func StreamTrace(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params, batch int, yield func(TraceFrame) error) error {
-	return StreamTraceArena(ctx, nil, s, net, seed, workers, p, batch, yield)
-}
-
-// StreamTraceArena is StreamTrace with the chunk buffers pooled in an
-// arena (nil allocates fresh — identical frames either way). A
-// chunk's buffer recycles the moment its frames have been yielded,
-// which the TraceFrame contract already permits: frame slices are
-// only valid until the yield callback returns, so the ring's
-// steady-state footprint is a handful of slabs cycling through the
-// pool instead of one fresh allocation per chunk.
-func StreamTraceArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, batch int, yield func(TraceFrame) error) error {
-	chunks, workers, pd, err := planRun(s, net, workers, p)
-	if err != nil {
-		return err
-	}
-	chunkHint := divHint(eventBudget(pd), chunks)
-	// The reorder ring: finished chunk buffers wait here until every
-	// earlier chunk has been delivered. Twice the worker count keeps
-	// workers busy across uneven chunk costs without growing the
-	// buffered set beyond O(workers).
-	ahead := 2 * workers
-	if ahead < 2 {
-		ahead = 2
-	}
-	type slot struct {
-		events []Event
-		ready  bool
-	}
-	ring := make([]slot, ahead)
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		frontier int // next chunk to deliver
-		next     int // next chunk to claim
-		firstErr error
-	)
-	// Cancellation must wake waiters parked on the cond var.
-	stopWake := context.AfterFunc(ctx, func() {
-		mu.Lock()
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	defer stopWake()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for firstErr == nil && ctx.Err() == nil && next < chunks && next >= frontier+ahead {
-					cond.Wait()
-				}
-				if firstErr != nil || ctx.Err() != nil || next >= chunks {
-					mu.Unlock()
-					return
-				}
-				k := next
-				next++
-				mu.Unlock()
-
-				buf := a.GetEvents(chunkHint)
-				if err := s.Emit(net, chunkRNG(seed, k), pd, k, func(e Event) { buf = append(buf, e) }); err != nil {
-					a.PutEvents(buf)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					cond.Broadcast()
-					mu.Unlock()
-					return
-				}
-
-				mu.Lock()
-				ring[k%ahead] = slot{events: buf, ready: true}
-				// Drain the frontier while it is ready. Delivery happens
-				// under mu on purpose: a slow consumer stalls the ring,
-				// which stalls the claim loop — that is the memory bound.
-				for firstErr == nil && ctx.Err() == nil && frontier < chunks && ring[frontier%ahead].ready {
-					sl := &ring[frontier%ahead]
-					events := sl.events
-					chunk := frontier
-					*sl = slot{}
-					err := yieldFrames(chunk, events, batch, yield)
-					// Frames are only valid until yield returns, so the
-					// chunk's buffer is recyclable now — error or not.
-					a.PutEvents(events)
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						break
-					}
-					frontier++
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// yieldFrames slices one chunk's events into batch-sized frames.
-func yieldFrames(chunk int, events []Event, batch int, yield func(TraceFrame) error) error {
-	if batch <= 0 || batch > len(events) {
-		batch = len(events)
-	}
-	for start := 0; start < len(events); start += batch {
-		end := start + batch
-		if end > len(events) {
-			end = len(events)
-		}
-		if err := yield(TraceFrame{Chunk: chunk, Events: events[start:end]}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StreamCSR generates the scenario and streams its fixed-length
+// StreamCSRArena generates the scenario and streams its fixed-length
 // aggregation windows through onWindow, in order, each finalized —
 // compacted to CSR, builder storage released — the moment every
 // chunk whose time span overlaps it has completed. The sealed windows
-// are bit-identical to Trace.WindowsCSR over the batch trace with the
-// same windowLen and horizon, for any worker count. A horizon ≤ 0
-// uses the configured duration. The whole-run aggregate accumulates
-// in sharded COO alongside the fold (exactly GenerateMatrix) and is
-// returned as CSR with the run stats once the stream completes.
-// An onWindow error or a cancelled ctx stops generation at chunk
-// granularity and is returned; windows already delivered stay
-// delivered.
-func StreamCSR(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
-	return StreamCSRArena(ctx, nil, s, net, seed, workers, p, windowLen, horizon, onWindow)
-}
-
-// StreamCSRArena is StreamCSR with the window compactor's per-window
-// shards, the aggregate's worker shards, and the merge output pooled
-// in an arena (nil allocates fresh — bit-identical windows either
-// way). Window builders recycle at Seal, worker shards after the
-// final merge; the sealed window CSRs and the returned aggregate CSR
-// are always freshly allocated and the consumer's forever. On an
-// error mid-run, builders of never-sealed windows are left to the GC
-// rather than reclaimed — safe, since pooling is only an optimization
-// and error paths are off the steady-state loop.
+// are bit-identical to Trace.WindowsCSRArena over the batch trace
+// with the same windowLen and horizon, for any worker count. A
+// horizon ≤ 0 uses the configured duration. The whole-run aggregate
+// accumulates in sharded COO alongside the fold (exactly
+// GenerateCSRArena's) and is returned as CSR with the run stats once
+// the stream completes. An onWindow error or a cancelled ctx stops
+// generation at chunk granularity and is returned; windows already
+// delivered stay delivered.
+//
+// The window compactor's per-window shards, the aggregate's worker
+// shards, and the merge output are pooled in the arena (nil
+// allocates fresh — bit-identical windows either way). Window
+// builders recycle at Seal, worker shards after the final merge; the
+// sealed window CSRs and the returned aggregate CSR are always
+// freshly allocated and the consumer's forever. On an error mid-run,
+// builders of never-sealed windows are left to the GC rather than
+// reclaimed — safe, since pooling is only an optimization and error
+// paths are off the steady-state loop.
 func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
 	if windowLen <= 0 {
 		return nil, Stats{}, fmt.Errorf("netsim: window length must be positive, got %g", windowLen)

@@ -39,10 +39,10 @@ func BenchmarkStreamFirstWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		_, _, err := StreamCSR(context.Background(), s, net, 42, 0, p, benchWindow, 0,
+		_, _, err := StreamCSRArena(context.Background(), nil, s, net, 42, 0, p, benchWindow, 0,
 			func(int, SparseWindow) error { return errFirstWindow })
 		if !errors.Is(err, errFirstWindow) {
-			b.Fatalf("StreamCSR: %v", err)
+			b.Fatalf("StreamCSRArena: %v", err)
 		}
 		b.ReportMetric(float64(time.Since(start).Nanoseconds()), "first-window-ns")
 	}
@@ -57,13 +57,13 @@ func BenchmarkBatchFirstWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		trace, err := GenerateTrace(s, net, 42, 0, p)
+		trace, err := GenerateTraceArena(context.Background(), nil, s, net, 42, 0, p)
 		if err != nil {
-			b.Fatalf("GenerateTrace: %v", err)
+			b.Fatalf("GenerateTraceArena: %v", err)
 		}
-		wins, err := trace.WindowsCSR(net, benchWindow, p.withDefaults().Duration)
+		wins, err := trace.WindowsCSRArena(context.Background(), nil, net, benchWindow, p.withDefaults().Duration)
 		if err != nil {
-			b.Fatalf("WindowsCSR: %v", err)
+			b.Fatalf("WindowsCSRArena: %v", err)
 		}
 		if wins[0].Matrix == nil {
 			b.Fatal("nil first window")
@@ -121,10 +121,10 @@ func BenchmarkStreamPeakMemory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		peak := peakHeap(func() {
-			_, _, err := StreamCSR(context.Background(), s, net, 42, 0, p, benchWindow, 0,
+			_, _, err := StreamCSRArena(context.Background(), nil, s, net, 42, 0, p, benchWindow, 0,
 				func(int, SparseWindow) error { return nil })
 			if err != nil {
-				b.Fatalf("StreamCSR: %v", err)
+				b.Fatalf("StreamCSRArena: %v", err)
 			}
 		})
 		b.ReportMetric(peak, "peak-heap-bytes")
@@ -139,13 +139,13 @@ func BenchmarkBatchPeakMemory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		peak := peakHeap(func() {
-			trace, err := GenerateTrace(s, net, 42, 0, p)
+			trace, err := GenerateTraceArena(context.Background(), nil, s, net, 42, 0, p)
 			if err != nil {
-				b.Fatalf("GenerateTrace: %v", err)
+				b.Fatalf("GenerateTraceArena: %v", err)
 			}
-			wins, err := trace.WindowsCSR(net, benchWindow, p.withDefaults().Duration)
+			wins, err := trace.WindowsCSRArena(context.Background(), nil, net, benchWindow, p.withDefaults().Duration)
 			if err != nil {
-				b.Fatalf("WindowsCSR: %v", err)
+				b.Fatalf("WindowsCSRArena: %v", err)
 			}
 			if len(wins) == 0 {
 				b.Fatal("no windows")

@@ -233,7 +233,7 @@ func (e *Engine) renderCourse(ctx context.Context, ref CourseRef) (*course.Cours
 	if err != nil {
 		return nil, err
 	}
-	camp, err := bridge.CampaignFromScenarioContext(ctx, scn, netsim.ScaledNetwork(ref.Hosts),
+	camp, err := bridge.CampaignFromScenario(ctx, scn, netsim.ScaledNetwork(ref.Hosts),
 		ref.Seed, e.workers, netsim.Params{}, ref.Window)
 	if err != nil {
 		return nil, err
@@ -268,7 +268,7 @@ func (e *Engine) renderModule(ctx context.Context, ref ModuleRef) (*core.Module,
 	if err != nil {
 		return nil, err
 	}
-	return bridge.AggregateModuleContext(ctx, scn, netsim.ScaledNetwork(ref.Hosts),
+	return bridge.AggregateModule(ctx, scn, netsim.ScaledNetwork(ref.Hosts),
 		ref.Seed, e.workers, netsim.Params{})
 }
 
