@@ -5,19 +5,6 @@
 //
 //	benchguard -baseline BENCH_PR7.json -current fresh.json
 //
-// With -load it instead gates a combined twload snapshot, asserting
-// the machine-independent load invariants — zero errors, warm p50
-// far below cold p50. Two snapshot shapes are understood: the
-// single-process run ({"single": …}, BENCH_PR8.json) and the cluster
-// proxy triple ({"direct": …, "proxy": …, "membership": …},
-// BENCH_PR9.json), which additionally bounds the proxy's cold-path
-// hop overhead (-max-overhead) and pins the proxy's warm-class cache
-// hit rate (-min-hit-rate) so cross-process ring affinity stays
-// measurable:
-//
-//	benchguard -load BENCH_PR8.current.json
-//	benchguard -load BENCH_PR9.current.json
-//
 // Both files may be either raw `go test -bench` output or the
 // test2json stream produced by `go test -json` (the committed
 // trajectory snapshots use the latter); benchguard extracts the
@@ -121,14 +108,7 @@ func main() {
 	current := flag.String("current", "", "fresh bench run to check (raw or test2json)")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional allocs/op growth")
 	slack := flag.Int64("slack", 64, "allowed absolute allocs/op growth on top of tolerance")
-	loadPath := flag.String("load", "", "gate a combined twload snapshot instead of allocs/op")
-	warmFactor := flag.Float64("warm-factor", 10, "with -load: required cold-p50 / warm-p50 ratio")
-	maxOverhead := flag.Float64("max-overhead", 3.0, "with -load: allowed proxy/direct cold-p50 ratio")
-	minHitRate := flag.Float64("min-hit-rate", 0.5, "with -load: required proxy warm-class cache hit rate")
 	flag.Parse()
-	if *loadPath != "" {
-		os.Exit(runLoadGate(*loadPath, *warmFactor, *maxOverhead, *minHitRate))
-	}
 	if *baseline == "" || *current == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -baseline and -current are both required")
 		os.Exit(2)

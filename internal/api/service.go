@@ -27,7 +27,7 @@ type Service struct {
 	cacheCap  int
 	shards    int
 	noPooling bool
-	cache     ResultCache
+	cache     *shardedCache
 	sessions  SessionStore
 	flights   *shardedFlights
 	// players is the account layer (see internal/player): mutable

@@ -16,19 +16,6 @@ import (
 // same stripe. Nothing about results changes — sharding moves locks,
 // not data — which is what the single-vs-sharded parity suite pins.
 
-// ResultCache is the bounded result cache the service stores
-// completed runs in. Implementations must be safe for concurrent
-// use; values are treated as immutable by convention.
-type ResultCache interface {
-	// Get returns the cached value for key, refreshing its recency.
-	Get(key string) (any, bool)
-	// Put inserts or refreshes key, evicting beyond capacity.
-	Put(key string, val any)
-	// Stats snapshots the counters (with a per-shard breakdown when
-	// the cache is sharded).
-	Stats() CacheStats
-}
-
 // shardHash is FNV-1a over the key with a 64-bit avalanche
 // finalizer. Raw FNV-1a disperses structured cache keys (long shared
 // canonical prefixes, a few digits of difference at the tail) badly
@@ -95,7 +82,9 @@ func DefaultShards() int {
 // per-shard — a globally-LRU entry on a cold shard can outlive a
 // hotter entry on a full shard — which is an accepted property of
 // striped LRUs: the capacity bound and the hit path stay exact, only
-// the eviction victim choice is approximate.
+// the eviction victim choice is approximate. It is safe for
+// concurrent use; cached values are treated as immutable by
+// convention.
 type shardedCache struct {
 	shards []*lruCache
 	mask   uint64
