@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/player"
 	"repro/internal/router"
+	"repro/internal/serve"
 )
 
 // ErrNoBackends reports a request against a cluster whose every
@@ -24,38 +28,12 @@ var ErrNoBackends = fmt.Errorf("cluster: no live backends (%w)", router.ErrEmpty
 // ErrUnknownBackend reports a Remove of a URL that is not a member.
 var ErrUnknownBackend = errors.New("cluster: backend is not a member")
 
-// DefaultDrainTimeout bounds how long RemoveBackend waits for the
-// departing backend's in-flight requests (streams included) before
-// reporting the drain incomplete. The backend keeps serving whatever
-// is still attached either way — the bound is on the admin call, not
-// on the requests.
-const DefaultDrainTimeout = 30 * time.Second
-
-// Option configures a Cluster under construction.
-type Option func(*Cluster)
-
-// WithWorkerOptions forwards options to every RemoteWorker the
-// cluster builds (present and future members).
-func WithWorkerOptions(opts ...WorkerOption) Option {
-	return func(c *Cluster) { c.workerOpts = opts }
-}
-
-// WithDrainTimeout sets the RemoveBackend drain bound.
-func WithDrainTimeout(d time.Duration) Option {
-	return func(c *Cluster) {
-		if d > 0 {
-			c.drainTimeout = d
-		}
-	}
-}
-
-// member is one live backend: its worker plus the in-flight counter
-// RemoveBackend drains against.
-type member struct {
-	url    string
-	worker *RemoteWorker
-	wg     sync.WaitGroup
-}
+// drainTimeout bounds how long RemoveBackend waits for the departing
+// backend's in-flight requests (streams included) before reporting
+// the drain incomplete. The backend keeps serving whatever is still
+// attached either way — the bound is on the admin call, not on the
+// requests.
+const drainTimeout = 30 * time.Second
 
 // Cluster fronts N backend twserve processes with one api.Core
 // surface, routing every request's canonical RouteKey through a
@@ -71,14 +49,11 @@ type member struct {
 // surviving warm cache lines become hits again — the remove/re-add
 // assignment-restoration property the ring pins.
 type Cluster struct {
-	workerOpts   []WorkerOption
-	drainTimeout time.Duration
-
 	mu      sync.RWMutex
 	ring    *router.Ring
-	members map[int]*member // slot → live member
-	slots   map[string]int  // URL → stable slot, kept across removals
-	next    int             // next fresh slot
+	members map[int]*transport // slot → live member
+	slots   map[string]int     // URL → stable slot, kept across removals
+	next    int                // next fresh slot
 }
 
 var _ api.Core = (*Cluster)(nil)
@@ -86,15 +61,11 @@ var _ api.Core = (*Cluster)(nil)
 // New builds a cluster over the given backend base URLs. An empty
 // list is legal — the cluster answers ErrNoBackends until an
 // AddBackend lands.
-func New(backends []string, opts ...Option) (*Cluster, error) {
+func New(backends []string) (*Cluster, error) {
 	c := &Cluster{
-		drainTimeout: DefaultDrainTimeout,
-		ring:         router.NewRing(0),
-		members:      map[int]*member{},
-		slots:        map[string]int{},
-	}
-	for _, opt := range opts {
-		opt(c)
+		ring:    router.NewRing(0),
+		members: map[int]*transport{},
+		slots:   map[string]int{},
 	}
 	for _, b := range backends {
 		if err := c.AddBackend(b); err != nil {
@@ -108,13 +79,13 @@ func New(backends []string, opts ...Option) (*Cluster, error) {
 // already a member is a no-op; re-adding a previously removed URL
 // restores its old ring slot (and therefore its old keyspace slice).
 func (c *Cluster) AddBackend(backend string) error {
-	w, err := NewRemoteWorker(backend, c.workerOpts...)
+	base, err := normalizeBase(backend)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	slot, seen := c.slots[w.Base()]
+	slot, seen := c.slots[base]
 	if seen {
 		if _, live := c.members[slot]; live {
 			return nil // already a member
@@ -122,9 +93,9 @@ func (c *Cluster) AddBackend(backend string) error {
 	} else {
 		slot = c.next
 		c.next++
-		c.slots[w.Base()] = slot
+		c.slots[base] = slot
 	}
-	c.members[slot] = &member{url: w.Base(), worker: w}
+	c.members[slot] = newTransport(base)
 	c.ring.Add(slot)
 	return nil
 }
@@ -142,7 +113,7 @@ func (c *Cluster) RemoveBackend(backend string) (drained bool, err error) {
 	}
 	c.mu.Lock()
 	slot, seen := c.slots[norm]
-	m, live := c.members[slot]
+	t, live := c.members[slot]
 	if !seen || !live {
 		c.mu.Unlock()
 		return false, fmt.Errorf("%w: %s", ErrUnknownBackend, norm)
@@ -155,56 +126,45 @@ func (c *Cluster) RemoveBackend(backend string) (drained bool, err error) {
 	// write lock above landed, so the wait below covers all of them;
 	// no new request can reach the member anymore.
 	done := make(chan struct{})
-	go func() { m.wg.Wait(); close(done) }()
+	go func() { t.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 		drained = true
-	case <-time.After(c.drainTimeout):
+	case <-time.After(drainTimeout):
 	}
-	m.worker.Close()
+	t.client.CloseIdleConnections()
 	return drained, nil
 }
 
 // Backends lists the live member URLs in slot (join) order.
 func (c *Cluster) Backends() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	slots := make([]int, 0, len(c.members))
-	for s := range c.members {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	out := make([]string, len(slots))
-	for i, s := range slots {
-		out[i] = c.members[s].url
+	var out []string
+	for _, t := range c.snapshot() {
+		out = append(out, t.base)
+		t.wg.Done()
 	}
 	return out
-}
-
-// Size reports the live backend count.
-func (c *Cluster) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.members)
 }
 
 // pick resolves a routing key to its live member and registers the
 // caller in-flight; the returned release must be called when the
 // request finishes so RemoveBackend's drain can complete.
-func (c *Cluster) pick(key string) (*member, func(), error) {
+func (c *Cluster) pick(key string) (*transport, func(), error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	slot, err := c.ring.Pick(key)
 	if err != nil {
 		return nil, nil, ErrNoBackends
 	}
-	m := c.members[slot]
-	m.wg.Add(1)
-	return m, func() { m.wg.Done() }, nil
+	t := c.members[slot]
+	t.wg.Add(1)
+	return t, t.wg.Done, nil
 }
 
-// snapshot returns the live members in slot order for fan-out calls.
-func (c *Cluster) snapshot() []*member {
+// snapshot returns the live members in slot order, each registered
+// in-flight under the same read lock pick uses; the caller calls
+// wg.Done on every one.
+func (c *Cluster) snapshot() []*transport {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	slots := make([]int, 0, len(c.members))
@@ -212,173 +172,174 @@ func (c *Cluster) snapshot() []*member {
 		slots = append(slots, s)
 	}
 	sort.Ints(slots)
-	out := make([]*member, len(slots))
+	out := make([]*transport, len(slots))
 	for i, s := range slots {
 		out[i] = c.members[s]
+		out[i].wg.Add(1)
 	}
 	return out
 }
 
-// Generate routes the request to its spec's backend.
-func (c *Cluster) Generate(ctx context.Context, req api.GenerateRequest) (*api.GenerateResult, error) {
-	m, release, err := c.pick(req.RouteKey())
+// call routes one JSON request by key to its member and decodes the
+// answer into a fresh T.
+func call[T any](ctx context.Context, c *Cluster, key, method, path string, in any, idempotent bool) (*T, error) {
+	t, release, err := c.pick(key)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return m.worker.Generate(ctx, req)
+	out := new(T)
+	if err := t.do(ctx, method, path, in, out, idempotent); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// fanOut sends one request to every live member concurrently, each
+// bounded by probeTimeout, and returns the members in slot order
+// beside their decoded answers and errors. A failed probe leaves its
+// answer zero.
+func fanOut[T any](ctx context.Context, c *Cluster, method, path string, idempotent bool) ([]*transport, []T, []error) {
+	members := c.snapshot()
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	res := make([]T, len(members))
+	errs := make([]error, len(members))
+	var wg sync.WaitGroup
+	for i, t := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer t.wg.Done()
+			errs[i] = t.do(ctx, method, path, nil, &res[i], idempotent)
+		}()
+	}
+	wg.Wait()
+	return members, res, errs
+}
+
+// Generate routes the request to its spec's backend.
+func (c *Cluster) Generate(ctx context.Context, req api.GenerateRequest) (*api.GenerateResult, error) {
+	return call[api.GenerateResult](ctx, c, req.RouteKey(), http.MethodPost, "/v1/generate", req, true)
 }
 
 // GenerateStream routes the stream to the same backend the batch
 // request would use, keeping cache and arena locality.
 func (c *Cluster) GenerateStream(ctx context.Context, req api.GenerateRequest, emit func(api.StreamFrame) error) error {
-	m, release, err := c.pick(req.RouteKey())
+	t, release, err := c.pick(req.RouteKey())
 	if err != nil {
 		return err
 	}
 	defer release()
-	return m.worker.GenerateStream(ctx, req, emit)
+	return t.stream(ctx, req, emit)
 }
 
 // Analyze routes spec-path requests with their generate identity (so
 // they share the cached run) and matrix posts by shape.
 func (c *Cluster) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.AnalyzeResult, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return m.worker.Analyze(ctx, req)
+	return call[api.AnalyzeResult](ctx, c, req.RouteKey(), http.MethodPost, "/v1/analyze", req, true)
 }
 
 // Module routes by the module's cache identity.
 func (c *Cluster) Module(ctx context.Context, req api.ModuleRequest) (*core.Module, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return m.worker.Module(ctx, req)
+	return call[core.Module](ctx, c, req.RouteKey(), http.MethodPost, "/v1/module", req, true)
 }
 
 // Campaign routes by the campaign's cache identity.
 func (c *Cluster) Campaign(ctx context.Context, req api.CampaignRequest) (*bridge.Campaign, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return m.worker.Campaign(ctx, req)
+	return call[bridge.Campaign](ctx, c, req.RouteKey(), http.MethodPost, "/v1/campaign", req, true)
 }
 
 // Player methods route by player identity: each backend process owns
 // its own player store, so the ring genuinely partitions players
 // across the cluster and per-player rate limits are enforced by the
-// one backend that owns the player.
+// one backend that owns the player. Creates, attempt starts and
+// submits never retry: one that landed but lost its response would
+// turn a retry into a spurious 409 or a second attempt ID. Reads, and
+// progress advances (re-completing a done unit is a no-op), may.
 
 // PlayerCreate routes by player identity.
 func (c *Cluster) PlayerCreate(ctx context.Context, req api.PlayerCreateRequest) (*api.PlayerResult, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return m.worker.PlayerCreate(ctx, req)
+	return call[api.PlayerResult](ctx, c, req.RouteKey(), http.MethodPost, "/v1/player", req, false)
 }
 
 // PlayerGet routes by player identity.
 func (c *Cluster) PlayerGet(ctx context.Context, req api.PlayerGetRequest) (*api.PlayerResult, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return m.worker.PlayerGet(ctx, req)
+	return call[api.PlayerResult](ctx, c, req.RouteKey(), http.MethodGet, "/v1/player/"+url.PathEscape(req.ID), nil, true)
 }
 
 // PlayerAttemptStart routes by player identity.
 func (c *Cluster) PlayerAttemptStart(ctx context.Context, req api.AttemptStartRequest) (*api.AttemptResult, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return m.worker.PlayerAttemptStart(ctx, req)
+	path := "/v1/player/" + url.PathEscape(req.Player) + "/attempt"
+	return call[api.AttemptResult](ctx, c, req.RouteKey(), http.MethodPost, path, req, false)
 }
 
 // PlayerAttemptSubmit routes by player identity.
 func (c *Cluster) PlayerAttemptSubmit(ctx context.Context, req api.AttemptSubmitRequest) (*api.SubmitResult, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return m.worker.PlayerAttemptSubmit(ctx, req)
+	path := fmt.Sprintf("/v1/player/%s/attempt/%d", url.PathEscape(req.Player), req.Attempt)
+	return call[api.SubmitResult](ctx, c, req.RouteKey(), http.MethodPost, path, req, false)
 }
 
-// PlayerProgress routes by player identity.
+// PlayerProgress routes by player identity: a read with Unit empty,
+// an advance with Unit set.
 func (c *Cluster) PlayerProgress(ctx context.Context, req api.ProgressRequest) (*api.ProgressResult, error) {
-	m, release, err := c.pick(req.RouteKey())
-	if err != nil {
-		return nil, err
+	path := "/v1/player/" + url.PathEscape(req.Player) + "/progress"
+	if strings.TrimSpace(req.Unit) == "" {
+		return call[api.ProgressResult](ctx, c, req.RouteKey(), http.MethodGet, path, nil, true)
 	}
-	defer release()
-	return m.worker.PlayerProgress(ctx, req)
+	return call[api.ProgressResult](ctx, c, req.RouteKey(), http.MethodPost, path, req, true)
 }
 
 // PlayerMastery fans out: each backend owns a disjoint slice of the
 // player population, so the cohort view is the merge of every
-// backend's local statistics. Backends are probed concurrently; a
-// failed probe fails the whole read (a partial cohort would silently
-// misreport difficulty).
+// backend's local statistics. A failed probe fails the whole read (a
+// partial cohort would silently misreport difficulty).
 func (c *Cluster) PlayerMastery(ctx context.Context) (*api.MasteryResult, error) {
-	members := c.snapshot()
+	members, res, errs := fanOut[api.MasteryResult](ctx, c, http.MethodGet, "/v1/player/mastery", true)
 	if len(members) == 0 {
 		return nil, ErrNoBackends
 	}
 	parts := make([][]player.MasteryItem, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		m.wg.Add(1)
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			defer m.wg.Done()
-			res, err := m.worker.PlayerMastery(ctx)
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: mastery probe of %s: %w", m.url, err)
-				return
-			}
-			parts[i] = res.Items
-		}(i, m)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for i, t := range members {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("cluster: mastery probe of %s: %w", t.base, errs[i])
 		}
+		parts[i] = res[i].Items
 	}
 	return &api.MasteryResult{Version: api.Version, Items: api.MergeMastery(parts...)}, nil
 }
 
-// Catalog is identical on every backend; the first live one answers.
-// An empty cluster answers an empty (but versioned) catalog.
+// Catalog is identical on every backend: the first live member in
+// slot order that answers serves it. A cluster where none answers
+// serves an empty (but versioned) catalog.
 func (c *Cluster) Catalog(ctx context.Context) *api.CatalogResult {
 	members := c.snapshot()
-	if len(members) == 0 {
-		return &api.CatalogResult{Version: api.Version}
+	defer func() {
+		for _, t := range members {
+			t.wg.Done()
+		}
+	}()
+	for _, t := range members {
+		var res api.CatalogResult
+		if t.do(ctx, http.MethodGet, "/v1/catalog", nil, &res, true) == nil {
+			return &res
+		}
 	}
-	return members[0].worker.Catalog(ctx)
+	return &api.CatalogResult{Version: api.Version}
 }
 
-// Sessions merges every backend's in-flight list. Session IDs are
-// only unique per process, so entries are identified by the
-// (Backend, ID) pair and ordered by ID then backend.
+// Sessions merges every backend's in-flight list, each entry tagged
+// with its backend's URL. Session IDs are only unique per process, so
+// entries are identified by the (Backend, ID) pair and ordered by ID
+// then backend.
 func (c *Cluster) Sessions() []api.SessionInfo {
+	members, lists, _ := fanOut[[]api.SessionInfo](context.TODO(), c, http.MethodGet, "/v1/sessions", true)
 	var out []api.SessionInfo
-	for _, m := range c.snapshot() {
-		out = append(out, m.worker.Sessions()...)
+	for i, t := range members {
+		for _, s := range lists[i] {
+			s.Backend = t.base
+			out = append(out, s)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ID != out[j].ID {
@@ -394,30 +355,23 @@ func (c *Cluster) Sessions() []api.SessionInfo {
 // cancels every backend's session with that ID and reports whether
 // any was found.
 func (c *Cluster) CancelSession(id int64) bool {
-	found := false
-	for _, m := range c.snapshot() {
-		if m.worker.CancelSession(id) {
-			found = true
+	_, res, _ := fanOut[serve.CancelResult](context.TODO(), c, http.MethodDelete, fmt.Sprintf("/v1/sessions/%d", id), false)
+	for _, r := range res {
+		if r.Cancelled {
+			return true
 		}
 	}
-	return found
+	return false
 }
 
-// CacheStats aggregates the cluster's cache counters; each Shards
-// entry is one backend's own fleet aggregate.
+// CacheStats is the cache view of Stats: the cluster totals, with one
+// Shards entry per backend holding that backend's own aggregate.
 func (c *Cluster) CacheStats() api.CacheStats {
-	members := c.snapshot()
-	var agg api.CacheStats
-	agg.Shards = make([]api.CacheStats, len(members))
-	for i, m := range members {
-		st := m.worker.CacheStats()
-		st.Shards = nil
-		agg.Shards[i] = st
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.Len += st.Len
-		agg.Capacity += st.Capacity
+	rep := c.Stats()
+	agg := rep.Cluster.Totals
+	agg.Shards = make([]api.CacheStats, len(rep.Cluster.Backends))
+	for i, b := range rep.Cluster.Backends {
+		agg.Shards[i] = b.Cache
 	}
 	return agg
 }
@@ -425,40 +379,22 @@ func (c *Cluster) CacheStats() api.CacheStats {
 // Stats aggregates /v1/stats across the backends: every backend's
 // workers appear (renumbered fleet-wide, tagged with their backend
 // URL, per-stripe detail intact) plus the per-backend rollup and
-// cluster totals under Cluster. Backends are probed concurrently so
-// one slow member delays the scrape by at most the probe timeout; a
-// failed probe reports its error in its BackendStats entry rather
-// than failing the whole report.
+// cluster totals under Cluster. A failed probe reports its error in
+// its BackendStats entry rather than failing the whole report.
 func (c *Cluster) Stats() api.StatsReport {
-	members := c.snapshot()
-	type probe struct {
-		rep api.StatsReport
-		err error
-	}
-	probes := make([]probe, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			probes[i].rep, probes[i].err = m.worker.stats()
-		}(i, m)
-	}
-	wg.Wait()
-
+	members, reps, errs := fanOut[api.StatsReport](context.TODO(), c, http.MethodGet, "/v1/stats", true)
 	rep := api.StatsReport{Version: api.Version, Cluster: &api.ClusterStats{}}
-	for i, m := range members {
-		if probes[i].err != nil {
-			rep.Cluster.Backends = append(rep.Cluster.Backends,
-				api.BackendStats{Backend: m.url, Error: probes[i].err.Error()})
+	for i, t := range members {
+		bs := api.BackendStats{Backend: t.base}
+		if errs[i] != nil {
+			bs.Error = errs[i].Error()
+			rep.Cluster.Backends = append(rep.Cluster.Backends, bs)
 			continue
 		}
-		var bs api.BackendStats
-		bs.Backend = m.url
-		bs.Workers = len(probes[i].rep.Workers)
-		for _, ws := range probes[i].rep.Workers {
+		bs.Workers = len(reps[i].Workers)
+		for _, ws := range reps[i].Workers {
 			ws.Worker = len(rep.Workers)
-			ws.Backend = m.url
+			ws.Backend = t.base
 			rep.Workers = append(rep.Workers, ws)
 
 			bs.Sessions += ws.Sessions

@@ -37,7 +37,15 @@ func newBackend(t *testing.T) (*api.Service, *httptest.Server) {
 	return svc, srv
 }
 
-func newFixture(t *testing.T, n int, opts ...cluster.Option) *fixture {
+// newProxy serves a cluster's proxy mux, membership routes included.
+func newProxy(t *testing.T, cl *cluster.Cluster) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(serve.NewProxyMux(cl, cl))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func newFixture(t *testing.T, n int) *fixture {
 	t.Helper()
 	f := &fixture{}
 	var urls []string
@@ -47,13 +55,12 @@ func newFixture(t *testing.T, n int, opts ...cluster.Option) *fixture {
 		f.backends = append(f.backends, srv)
 		urls = append(urls, srv.URL)
 	}
-	cl, err := cluster.New(urls, opts...)
+	cl, err := cluster.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.cl = cl
-	f.proxy = httptest.NewServer(serve.NewProxyMux(cl, cl))
-	t.Cleanup(f.proxy.Close)
+	f.proxy = newProxy(t, cl)
 	return f
 }
 
@@ -442,9 +449,7 @@ func TestClusterSessionsTagBackends(t *testing.T) {
 	if !f.cl.CancelSession(sessions[0].ID) {
 		t.Error("CancelSession found nothing")
 	}
-	if err := <-done; !errors.Is(err, api.ErrSessionCancelled) {
-		t.Errorf("cancelled run returned %v, want ErrSessionCancelled", err)
-	}
+	wantCancelled(t, <-done)
 }
 
 // TestProxyRouteListing keeps the proxy's index honest about the

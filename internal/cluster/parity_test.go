@@ -10,9 +10,11 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/netsim"
+	"repro/internal/serve"
 )
 
 // catalogNames lists every registered scenario except the
@@ -298,5 +300,109 @@ func TestProxyWarmAffinity(t *testing.T) {
 	}
 	if res := decode[api.AnalyzeResult](t, analyze); !res.CacheHit {
 		t.Error("analyze of a generated spec missed the warm cache through the proxy")
+	}
+}
+
+// rawAnswer is what the error parity contract compares: status,
+// Content-Type, Retry-After and the body, byte for byte.
+func rawAnswer(t *testing.T, resp *http.Response) string {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%d content-type=%q retry-after=%q %s", resp.StatusCode,
+		resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), body)
+}
+
+// cancelledRun starts a slow generate against base, cancels it
+// through base's DELETE /v1/sessions/{id} and returns the run's
+// answer.
+func cancelledRun(t *testing.T, base, spec string) string {
+	t.Helper()
+	type answer struct {
+		resp *http.Response
+		err  error
+	}
+	run := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/generate", "application/json",
+			strings.NewReader(`{"spec":"`+spec+`","seed":9,"workers":1}`))
+		run <- answer{resp, err}
+	}()
+	var sessions []api.SessionInfo
+	for deadline := time.Now().Add(5 * time.Second); len(sessions) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: run never appeared in /v1/sessions", base)
+		}
+		time.Sleep(5 * time.Millisecond)
+		resp, err := http.Get(base + "/v1/sessions")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = decode[[]api.SessionInfo](t, resp)
+		resp.Body.Close()
+	}
+	del, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%d", base, sessions[0].ID), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decode[serve.CancelResult](t, resp); !got.Cancelled {
+		t.Fatalf("%s: DELETE found no session %d", base, sessions[0].ID)
+	}
+	resp.Body.Close()
+	a := <-run
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	return rawAnswer(t, a.resp)
+}
+
+// TestProxyErrorParity: every batch and stream error class the
+// player script does not reach answers through the proxy exactly as
+// it does direct — status, Content-Type, Retry-After and body.
+func TestProxyErrorParity(t *testing.T) {
+	spec := slowClusterSpec(t)
+	_, direct := newBackend(t)
+	f := newFixture(t, 2)
+
+	cases := []struct {
+		name, path, body string
+		status           int
+	}{
+		{"generate, bad spec", "/v1/generate", `{"spec":"no-such-scenario"}`, http.StatusBadRequest},
+		{"analyze, spec and matrix", "/v1/analyze", `{"spec":"scan","matrix":[[0,1],[1,0]]}`, http.StatusBadRequest},
+		{"module, unknown pattern", "/v1/module", `{"pattern":"no-such-pattern"}`, http.StatusBadRequest},
+		{"campaign, window 0", "/v1/campaign", `{"spec":"scan","window":0}`, http.StatusBadRequest},
+		{"stream, bad spec", "/v1/generate/stream", `{"spec":"no-such-scenario","window":2}`, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		var answers [2]string
+		for i, base := range []string{direct.URL, f.proxy.URL} {
+			resp, err := http.Post(base+c.path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = rawAnswer(t, resp)
+		}
+		if want := fmt.Sprint(c.status); !strings.HasPrefix(answers[0], want+" ") {
+			t.Errorf("%s: direct answered %s, want status %s", c.name, answers[0], want)
+		}
+		if answers[0] != answers[1] {
+			t.Errorf("%s diverges through the proxy:\n direct: %s\n proxy:  %s", c.name, answers[0], answers[1])
+		}
+	}
+
+	want, got := cancelledRun(t, direct.URL, spec), cancelledRun(t, f.proxy.URL, spec)
+	if !strings.HasPrefix(want, "409 ") {
+		t.Errorf("cancelled run: direct answered %s, want status 409", want)
+	}
+	if want != got {
+		t.Errorf("cancelled run diverges through the proxy:\n direct: %s\n proxy:  %s", want, got)
 	}
 }

@@ -1,13 +1,12 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,209 +15,89 @@ import (
 	"repro/internal/serve"
 )
 
-// TestRemoteWorkerErrorMapping: façade sentinels survive the HTTP
-// hop — a backend 400 comes back as api.ErrInvalidRequest, without
-// doubling the sentinel prefix in the message.
+// TestRemoteWorkerErrorMapping: a backend's 400 crosses the hop as
+// the backend wrote it — the forwarded body equals the direct one,
+// and the sentinel text appears in it exactly once.
 func TestRemoteWorkerErrorMapping(t *testing.T) {
 	_, backend := newBackend(t)
-	w, err := cluster.NewRemoteWorker(backend.URL)
+	cl, err := cluster.New([]string{backend.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(w.Close)
 
-	_, err = w.Generate(t.Context(), api.GenerateRequest{Spec: "no-such-scenario"})
-	if !errors.Is(err, api.ErrInvalidRequest) {
-		t.Fatalf("remote invalid spec err = %v, want ErrInvalidRequest", err)
+	req := api.GenerateRequest{Spec: "no-such-scenario"}
+	_, err = cl.Generate(t.Context(), req)
+	var be *serve.BackendError
+	if !errors.As(err, &be) || be.Status != http.StatusBadRequest {
+		t.Fatalf("remote invalid spec err = %v, want a forwarded 400", err)
 	}
-	if n := strings.Count(err.Error(), api.ErrInvalidRequest.Error()); n != 1 {
-		t.Errorf("sentinel appears %d times in %q, want exactly once (double-wrapped over the wire)", n, err)
+	if _, direct := postBody(t, backend.URL+"/v1/generate", req); !bytes.Equal(be.Body, direct) {
+		t.Errorf("forwarded body %q, direct body %q", be.Body, direct)
+	}
+	if n := strings.Count(string(be.Body), api.ErrInvalidRequest.Error()); n != 1 {
+		t.Errorf("sentinel appears %d times in %q, want exactly once", n, be.Body)
 	}
 
 	// A cancelled caller context maps to context.Canceled, not an
 	// opaque transport error.
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	if _, err := w.Generate(ctx, api.GenerateRequest{Spec: "scan", Workers: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := cl.Generate(ctx, api.GenerateRequest{Spec: "scan", Workers: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled generate err = %v, want context.Canceled", err)
 	}
 }
 
-// TestRemoteWorkerRejectsBadBase pins URL validation at construction.
+// TestRemoteWorkerRejectsBadBase pins URL validation at membership.
 func TestRemoteWorkerRejectsBadBase(t *testing.T) {
 	for _, bad := range []string{"", "not a url", "ftp://host", "http://"} {
-		if _, err := cluster.NewRemoteWorker(bad); err == nil {
-			t.Errorf("NewRemoteWorker(%q) accepted a bad base", bad)
+		if _, err := cluster.New([]string{bad}); err == nil {
+			t.Errorf("cluster.New(%q) accepted a bad base", bad)
 		}
 	}
 	// Trailing slashes normalize away so ring slots stay stable.
-	w, err := cluster.NewRemoteWorker("http://127.0.0.1:9/")
+	cl, err := cluster.New([]string{"http://127.0.0.1:9/"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(w.Close)
-	if w.Base() != "http://127.0.0.1:9" {
-		t.Errorf("Base() = %q, want trailing slash trimmed", w.Base())
+	if got := cl.Backends(); len(got) != 1 || got[0] != "http://127.0.0.1:9" {
+		t.Errorf("Backends() = %q, want trailing slash trimmed", got)
 	}
 }
 
-// TestRemoteWorkerRetriesTransportFailure: a connection severed
-// before any response bytes is retried for idempotent requests — the
-// deterministic engine makes a replayed generate harmless — and the
-// second attempt succeeds.
-func TestRemoteWorkerRetriesTransportFailure(t *testing.T) {
-	inner := serve.NewMux(api.New())
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// Sever the connection mid-request: the client sees a
-			// transport error with no HTTP status.
-			conn, _, err := w.(http.Hijacker).Hijack()
-			if err != nil {
-				t.Errorf("hijack: %v", err)
-				return
-			}
-			conn.Close()
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-
-	w, err := cluster.NewRemoteWorker(srv.URL, cluster.WithRetry(2, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+// wantCancelled checks that err is the backend's 409 for a run an
+// operator cancelled, forwarded with the sentinel's text.
+func wantCancelled(t *testing.T, err error) {
+	t.Helper()
+	var be *serve.BackendError
+	if !errors.As(err, &be) || be.Status != http.StatusConflict {
+		t.Fatalf("cancelled remote run returned %v, want a forwarded 409", err)
 	}
-	t.Cleanup(w.Close)
-
-	res, err := w.Generate(t.Context(), api.GenerateRequest{Spec: "scan", Seed: 1, Workers: 1, Duration: 2})
-	if err != nil {
-		t.Fatalf("generate after one severed connection: %v", err)
-	}
-	if res.Events == 0 {
-		t.Error("retried generate returned an empty run")
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("backend saw %d calls, want 2 (one failure + one retry)", got)
-	}
-}
-
-// TestRemoteWorkerStreamNeverRetries: streams are not idempotent at
-// the wire level (frames may already have been emitted), so a
-// severed stream connection surfaces the error instead of replaying.
-func TestRemoteWorkerStreamNeverRetries(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		conn, _, err := w.(http.Hijacker).Hijack()
-		if err == nil {
-			conn.Close()
-		}
-	}))
-	t.Cleanup(srv.Close)
-
-	w, err := cluster.NewRemoteWorker(srv.URL, cluster.WithRetry(3, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-
-	err = w.GenerateStream(t.Context(), api.GenerateRequest{Spec: "scan", Window: 2, Workers: 1},
-		func(api.StreamFrame) error { return nil })
-	if err == nil {
-		t.Fatal("severed stream returned no error")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("backend saw %d stream attempts, want 1 (streams must not retry)", got)
-	}
-}
-
-// TestRemoteWorkerTruncatedStream: a stream that ends without a
-// summary frame is a broken backend, not a clean EOF.
-func TestRemoteWorkerTruncatedStream(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		// A lone meta frame, then EOF.
-		api.EncodeFrame(w, api.StreamFrame{Type: api.FrameMeta, Meta: &api.StreamMeta{Version: api.Version, Spec: "scan", Window: 1, Windows: 1, Labels: []string{"A"}}})
-	}))
-	t.Cleanup(srv.Close)
-
-	w, err := cluster.NewRemoteWorker(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-
-	err = w.GenerateStream(t.Context(), api.GenerateRequest{Spec: "scan", Window: 2},
-		func(api.StreamFrame) error { return nil })
-	if err == nil {
-		t.Fatal("truncated stream (no summary) returned no error")
-	}
-}
-
-// TestRemoteWorkerInflightCap: the per-backend semaphore bounds
-// concurrent requests so one proxy cannot stampede a backend.
-func TestRemoteWorkerInflightCap(t *testing.T) {
-	var cur, peak atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := cur.Add(1)
-		defer cur.Add(-1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte("{}"))
-	}))
-	t.Cleanup(srv.Close)
-
-	w, err := cluster.NewRemoteWorker(srv.URL, cluster.WithInflightLimit(2), cluster.WithRetry(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := w.Generate(context.Background(), api.GenerateRequest{Spec: "scan"}); err != nil {
-				t.Errorf("capped generate: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Errorf("backend observed %d concurrent requests, cap is 2", p)
+	if !bytes.Contains(be.Body, []byte(api.ErrSessionCancelled.Error())) {
+		t.Errorf("409 body %q lacks %q", be.Body, api.ErrSessionCancelled)
 	}
 }
 
 // TestRemoteWorkerCancelSession drives the DELETE route end to end:
 // list the remote run (tagged with the backend base), cancel it, and
-// watch the run die with the cancellation sentinel.
+// watch the run die with the backend's 409.
 func TestRemoteWorkerCancelSession(t *testing.T) {
 	spec := slowClusterSpec(t)
 	_, backend := newBackend(t)
-	w, err := cluster.NewRemoteWorker(backend.URL)
+	cl, err := cluster.New([]string{backend.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(w.Close)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := w.Generate(context.Background(), api.GenerateRequest{Spec: spec, Seed: 5, Workers: 1})
+		_, err := cl.Generate(context.Background(), api.GenerateRequest{Spec: spec, Seed: 5, Workers: 1})
 		done <- err
 	}()
 
 	var sessions []api.SessionInfo
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		sessions = w.Sessions()
+		sessions = cl.Sessions()
 		if len(sessions) > 0 || time.Now().After(deadline) {
 			break
 		}
@@ -227,13 +106,52 @@ func TestRemoteWorkerCancelSession(t *testing.T) {
 	if len(sessions) != 1 {
 		t.Fatalf("remote sessions = %d, want 1", len(sessions))
 	}
-	if sessions[0].Backend != w.Base() {
-		t.Errorf("session backend tag = %q, want %q", sessions[0].Backend, w.Base())
+	if sessions[0].Backend != backend.URL {
+		t.Errorf("session backend tag = %q, want %q", sessions[0].Backend, backend.URL)
 	}
-	if !w.CancelSession(sessions[0].ID) {
+	if !cl.CancelSession(sessions[0].ID) {
 		t.Error("remote CancelSession found nothing")
 	}
-	if err := <-done; !errors.Is(err, api.ErrSessionCancelled) {
-		t.Errorf("cancelled remote run returned %v, want ErrSessionCancelled", err)
+	wantCancelled(t, <-done)
+}
+
+// TestClusterCatalogSkipsDeadBackend: a dead first member does not
+// blank the catalog while a later one is live.
+func TestClusterCatalogSkipsDeadBackend(t *testing.T) {
+	_, dead := newBackend(t)
+	dead.Close()
+	_, live := newBackend(t)
+	cl, err := cluster.New([]string{dead.URL, live.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat := cl.Catalog(t.Context()); len(cat.Scenarios) == 0 || len(cat.Patterns) == 0 {
+		t.Fatalf("catalog with a dead first backend = %+v, want the live backend's", cat)
+	}
+
+	get := func(base string) []byte {
+		resp, err := http.Get(base + "/v1/catalog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	proxy := newProxy(t, cl)
+	if want, got := get(live.URL), get(proxy.URL); !bytes.Equal(want, got) {
+		t.Errorf("proxy catalog %.200s, want %.200s", got, want)
+	}
+
+	// With every member down the answer is the empty versioned catalog.
+	empty, err := cluster.New([]string{dead.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat := empty.Catalog(t.Context()); cat.Version != api.Version || len(cat.Scenarios) != 0 {
+		t.Errorf("catalog with no live backend = %+v", cat)
 	}
 }

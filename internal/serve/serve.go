@@ -27,8 +27,8 @@
 // unknown player or unit is 404, a duplicate create / replayed attempt
 // / locked unit is 409, and a rate-limited player gets 429 with a
 // Retry-After header (and a retry_after_ms field in the error
-// envelope, which is how a cluster proxy reconstructs the identical
-// error on its side of the wire).
+// envelope). A cluster proxy maps nothing: a backend's error answer
+// reaches it as a BackendError, written back verbatim.
 //
 // A mux built with NewProxyMux additionally mounts the live ring
 // membership surface a cluster proxy needs:
@@ -43,6 +43,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -413,14 +414,28 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// serviceError maps façade errors onto status codes: invalid
-// requests are the caller's fault (400), a cancelled request context
-// means the client hung up (499, best-effort — the connection is
-// usually gone), a proxy with no live backends is temporarily
-// unavailable (503), everything else is a 500.
+// serviceError maps façade errors onto status codes: a backend's
+// answer relayed by a cluster proxy keeps its own status, headers and
+// body; invalid requests are the caller's fault (400), a cancelled
+// request context means the client hung up (499, best-effort — the
+// connection is usually gone), a proxy with no live backends is
+// temporarily unavailable (503), everything else is a 500.
 func serviceError(w http.ResponseWriter, r *http.Request, err error) {
 	var limited *player.RateLimitError
+	var backend *BackendError
 	switch {
+	case errors.As(err, &backend):
+		// A cluster proxy relays its backend's answer as it came.
+		if backend.ContentType != "" {
+			w.Header().Set("Content-Type", backend.ContentType)
+		}
+		if backend.RetryAfter != "" {
+			w.Header().Set("Retry-After", backend.RetryAfter)
+		}
+		w.WriteHeader(backend.Status)
+		if _, err := w.Write(backend.Body); err != nil {
+			log.Printf("serve: relay backend error: %v", err)
+		}
 	case errors.Is(err, api.ErrInvalidRequest), errors.Is(err, player.ErrInvalid):
 		httpError(w, http.StatusBadRequest, err)
 	case errors.Is(err, player.ErrNotFound):
@@ -428,9 +443,7 @@ func serviceError(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.As(err, &limited):
 		// Per-player throttle: Retry-After carries whole seconds
 		// (rounded up, minimum 1 — the header has no finer unit), the
-		// envelope's retry_after_ms the exact wait. A cluster proxy
-		// rebuilds the identical RateLimitError from the envelope, so
-		// the response is bit-identical through the proxy hop.
+		// envelope's retry_after_ms the exact wait.
 		secs := (limited.RetryAfter + time.Second - 1) / time.Second
 		if secs < 1 {
 			secs = 1
@@ -461,13 +474,25 @@ func serviceError(w http.ResponseWriter, r *http.Request, err error) {
 
 // errorBody is the uniform error envelope. RetryAfterMS rides along
 // on 429s only: it is the machine-readable form of the Retry-After
-// header (exact milliseconds, where the header is coarse seconds),
-// and the field a cluster proxy reads to reconstruct the backend's
-// RateLimitError precisely.
+// header (exact milliseconds, where the header is coarse seconds).
 type errorBody struct {
 	Error        string `json:"error"`
 	Version      string `json:"version"`
 	RetryAfterMS *int64 `json:"retry_after_ms,omitempty"`
+}
+
+// BackendError is a backend's non-200 answer as a cluster proxy
+// received it. serviceError writes it back unchanged, so an error
+// crosses the proxy hop byte-identical by construction.
+type BackendError struct {
+	Status      int
+	ContentType string
+	RetryAfter  string
+	Body        []byte
+}
+
+func (e *BackendError) Error() string {
+	return fmt.Sprintf("backend answered %d: %s", e.Status, bytes.TrimSpace(e.Body))
 }
 
 // HealthResult answers GET /v1/healthz.
