@@ -310,8 +310,10 @@ func (c *Cluster) PlayerMastery(ctx context.Context) (*api.MasteryResult, error)
 }
 
 // Catalog is identical on every backend: the first live member in
-// slot order that answers serves it. A cluster where none answers
-// serves an empty (but versioned) catalog.
+// slot order that answers serves it. Each member gets one attempt —
+// the walk to the next member is the retry, so a dead first member
+// costs one failed connection, not the transport's backoff budget. A
+// cluster where none answers serves an empty (but versioned) catalog.
 func (c *Cluster) Catalog(ctx context.Context) *api.CatalogResult {
 	members := c.snapshot()
 	defer func() {
@@ -321,7 +323,7 @@ func (c *Cluster) Catalog(ctx context.Context) *api.CatalogResult {
 	}()
 	for _, t := range members {
 		var res api.CatalogResult
-		if t.do(ctx, http.MethodGet, "/v1/catalog", nil, &res, true) == nil {
+		if t.do(ctx, http.MethodGet, "/v1/catalog", nil, &res, false) == nil {
 			return &res
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,5 +155,43 @@ func TestClusterCatalogSkipsDeadBackend(t *testing.T) {
 	}
 	if cat := empty.Catalog(t.Context()); cat.Version != api.Version || len(cat.Scenarios) != 0 {
 		t.Errorf("catalog with no live backend = %+v", cat)
+	}
+}
+
+// TestClusterCatalogOneAttemptPerMember: a first member that accepts
+// connections and drops them is tried exactly once before the walk
+// moves on to the live member — no retry budget is spent on it.
+func TestClusterCatalogOneAttemptPerMember(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			conn.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	_, live := newBackend(t)
+	cl, err := cluster.New([]string{"http://" + ln.Addr().String(), live.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat := cl.Catalog(t.Context()); len(cat.Scenarios) == 0 {
+		t.Fatalf("catalog with a dropping first backend = %+v, want the live backend's", cat)
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("dropping first member saw %d connection attempts, want exactly 1", n)
 	}
 }

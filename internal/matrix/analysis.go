@@ -1,6 +1,9 @@
 package matrix
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Profile summarizes the structural features of a traffic matrix that
 // the paper's learning modules train students to read by eye: how
@@ -134,14 +137,8 @@ func SupernodesOf(m Matrix, minFan int) []HotSpot {
 			hits = append(hits, HotSpot{Index: i, Fan: p.InFan[i], Packets: colSums[i], Direction: "in"})
 		}
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Fan != hits[b].Fan {
-			return hits[a].Fan > hits[b].Fan
-		}
-		if hits[a].Index != hits[b].Index {
-			return hits[a].Index < hits[b].Index
-		}
-		return hits[a].Direction < hits[b].Direction
+	slices.SortFunc(hits, func(a, b HotSpot) int {
+		return cmp.Or(cmp.Compare(b.Fan, a.Fan), cmp.Compare(a.Index, b.Index), cmp.Compare(a.Direction, b.Direction))
 	})
 	return hits
 }
@@ -224,14 +221,8 @@ func TopLinksOf(m Matrix, k int) []Entry {
 	EachStored(m, func(i, j, v int) {
 		all = append(all, Entry{Row: i, Col: j, Val: v})
 	})
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Val != all[b].Val {
-			return all[a].Val > all[b].Val
-		}
-		if all[a].Row != all[b].Row {
-			return all[a].Row < all[b].Row
-		}
-		return all[a].Col < all[b].Col
+	slices.SortFunc(all, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(b.Val, a.Val), cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
 	})
 	if k < len(all) {
 		all = all[:k]

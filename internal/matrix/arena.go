@@ -148,11 +148,13 @@ func (p *SlabPool[T]) Stats() PoolStats {
 const DefaultArenaElems = 8 << 20
 
 // Arena pools the sparse builders' backing storage: the []Entry
-// slabs behind COO accumulators. One Arena per service instance,
+// slabs behind COO accumulators, plus the scratch triples and count
+// arrays compaction sorts with. One Arena per service instance,
 // shared by every request; all methods are safe for concurrent use
 // and all are nil-safe (a nil Arena allocates fresh).
 type Arena struct {
 	entries *SlabPool[Entry]
+	counts  *SlabPool[int]
 }
 
 // NewArena builds an arena with the default retention bound.
@@ -161,7 +163,7 @@ func NewArena() *Arena { return NewArenaSized(DefaultArenaElems) }
 // NewArenaSized builds an arena retaining at most maxElems pooled
 // triples.
 func NewArenaSized(maxElems int) *Arena {
-	return &Arena{entries: NewSlabPool[Entry](maxElems)}
+	return &Arena{entries: NewSlabPool[Entry](maxElems), counts: NewSlabPool[int](maxElems)}
 }
 
 // GetEntries takes a zero-length triple slab with capacity ≥ c
@@ -181,6 +183,35 @@ func (a *Arena) PutEntries(s []Entry) {
 		return
 	}
 	a.entries.Put(s)
+}
+
+// scratchEntries takes an n-triple scratch slab (contents
+// unspecified) for the caller to hand back with PutEntries. A nil
+// arena allocates exactly n.
+func (a *Arena) scratchEntries(n int) []Entry {
+	if a == nil {
+		return make([]Entry, n)
+	}
+	return a.entries.Get(n)[:n]
+}
+
+// zeroCounts takes an n-element zeroed count array for the caller to
+// hand back with putCounts. A nil arena allocates exactly n.
+func (a *Arena) zeroCounts(n int) []int {
+	if a == nil {
+		return make([]int, n)
+	}
+	c := a.counts.Get(n)[:n]
+	clear(c)
+	return c
+}
+
+// putCounts files a count array back. nil-safe.
+func (a *Arena) putCounts(c []int) {
+	if a == nil {
+		return
+	}
+	a.counts.Put(c)
 }
 
 // Stats snapshots the arena's entry-pool counters. nil-safe.

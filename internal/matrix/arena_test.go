@@ -169,8 +169,7 @@ func TestWindowCompactorArenaParity(t *testing.T) {
 	}
 	run := func(wc *WindowCompactor) []*CSR {
 		for _, ad := range adds {
-			wc.Add(ad.w, ad.i, ad.j, ad.v)
-			wc.Note(ad.w, 1, 0)
+			wc.Append(ad.w, []Entry{{Row: ad.i, Col: ad.j, Val: ad.v}}, 1, 0)
 		}
 		out := make([]*CSR, wc.Windows())
 		for w := range out {
@@ -178,7 +177,7 @@ func TestWindowCompactorArenaParity(t *testing.T) {
 		}
 		return out
 	}
-	plain := run(NewWindowCompactor(20, 20, 6))
+	plain := run(NewWindowCompactorArena(nil, 20, 20, 6, 0))
 	a := NewArena()
 	pooled := run(NewWindowCompactorArena(a, 20, 20, 6, 700))
 	for w := range plain {

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -18,9 +17,9 @@ import (
 
 // CompactParallel sorts and deduplicates the triples like Compact,
 // but splits the sort across up to workers goroutines: each segment
-// is sorted independently and the sorted runs are then merged in one
-// linear pass. workers ≤ 1 (or a small matrix) falls back to the
-// serial Compact. It returns the receiver for chaining.
+// is counting-sorted independently and the sorted runs are then
+// merged in one k-way pass. workers ≤ 1 (or a small matrix) falls
+// back to the serial Compact. It returns the receiver for chaining.
 func (c *COO) CompactParallel(workers int) *COO {
 	const minSegment = 1 << 12
 	if c.compacted || workers <= 1 || len(c.entries) < 2*minSegment {
@@ -42,23 +41,13 @@ func (c *COO) CompactParallel(workers int) *COO {
 		wg.Add(1)
 		go func(run []Entry) {
 			defer wg.Done()
-			sortEntries(run)
+			countSort(c.arena, run, c.rows, c.cols)
 		}(run)
 	}
 	wg.Wait()
 	c.entries = mergeRuns(runs)
 	c.compacted = true
 	return c
-}
-
-// sortEntries orders a triple slice row-major.
-func sortEntries(es []Entry) {
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].Row != es[b].Row {
-			return es[a].Row < es[b].Row
-		}
-		return es[a].Col < es[b].Col
-	})
 }
 
 // entryLess is the row-major triple order shared by every merge.
@@ -157,9 +146,9 @@ func dropZeros(es []Entry) []Entry {
 // MergeCOOArena combines sharded COO accumulators into one compacted
 // matrix. Every part must share the same dimensions; parts may be nil
 // (skipped) and are left unmodified aside from being compacted. The
-// compaction of each part runs concurrently — on a multicore host the
-// dominant O(E log E) sort cost parallelizes across shards — and the
-// sorted shards then merge in a single linear k-way pass.
+// compaction of each part (a linear counting sort plus dedup) runs
+// concurrently, one goroutine per shard, and the sorted shards then
+// merge in a single k-way pass.
 //
 // Cancellation works at shard granularity: a shard whose compaction
 // has not started when ctx is cancelled is skipped, and the cancelled

@@ -1,8 +1,9 @@
 package matrix
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The parallel permutation kernel. A host relabeling of a traffic
@@ -69,7 +70,7 @@ func PermuteCSR(m *CSR, perm []int, workers int) (*CSR, error) {
 			}
 			// The permuted columns arrive out of order; CSR rows store
 			// ascending columns.
-			sort.Slice(buf, func(a, b int) bool { return buf[a].col < buf[b].col })
+			slices.SortFunc(buf, func(a, b cell) int { return cmp.Compare(a.col, b.col) })
 			base := out.rowPtr[perm[i]]
 			for k, c := range buf {
 				out.colIdx[base+k] = c.col

@@ -20,7 +20,7 @@ type COO struct {
 	entries    []Entry
 	// compacted records that entries are row-major sorted, duplicate
 	// free, and zero free, letting Compact (and therefore ToCSR on a
-	// freshly merged matrix) skip the O(E log E) re-sort.
+	// freshly merged matrix) skip the counting sort and dedup passes.
 	compacted bool
 	// arena, when non-nil, owns the builder storage: Release files
 	// entries back onto its free-list instead of leaving them to the
@@ -97,18 +97,102 @@ func (c *COO) Add(i, j, v int) {
 	c.compacted = false
 }
 
+// AddEntries appends a batch of triples, with Add's range check on
+// every coordinate.
+func (c *COO) AddEntries(es []Entry) {
+	c.checkLive()
+	for _, e := range es {
+		if e.Row < 0 || e.Row >= c.rows || e.Col < 0 || e.Col >= c.cols {
+			panic(fmt.Sprintf("matrix: index (%d,%d) out of range %dx%d", e.Row, e.Col, c.rows, c.cols))
+		}
+	}
+	if len(es) == 0 {
+		return
+	}
+	c.entries = append(c.entries, es...)
+	c.compacted = false
+}
+
+// AddCSR appends every stored entry of m, whose dimensions must
+// match the receiver's.
+func (c *COO) AddCSR(m *CSR) {
+	c.checkLive()
+	if m.rows != c.rows || m.cols != c.cols {
+		panic(fmt.Sprintf("matrix: AddCSR dimension mismatch %dx%d vs %dx%d", c.rows, c.cols, m.rows, m.cols))
+	}
+	if len(m.vals) == 0 {
+		return
+	}
+	for i := 0; i < m.rows; i++ {
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			c.entries = append(c.entries, Entry{Row: i, Col: m.colIdx[k], Val: m.vals[k]})
+		}
+	}
+	c.compacted = false
+}
+
 // Compact sorts the triples in row-major order and sums duplicates
 // in place, dropping resulting zeros. It returns the receiver for
-// chaining.
+// chaining. The sort is a linear-time counting sort over the known
+// dimensions (see countSort); its scratch comes from the matrix's
+// arena when it has one.
 func (c *COO) Compact() *COO {
 	c.checkLive()
 	if c.compacted || len(c.entries) == 0 {
 		return c
 	}
-	sortEntries(c.entries)
+	countSort(c.arena, c.entries, c.rows, c.cols)
 	c.entries = dedupSorted(c.entries)
 	c.compacted = true
 	return c
+}
+
+// countSort orders es row-major in O(len(es) + rows + cols): a stable
+// counting pass by column into a scratch slab, then a stable counting
+// pass by row back into es, which keeps each row's columns ascending.
+// Duplicate coordinates end up adjacent in input order; Entry.Val is
+// an int, so the order dedupSorted sums them in cannot change a bit.
+// The scratch slab and the count array come from the arena (nil
+// allocates fresh) and go back before it returns.
+func countSort(a *Arena, es []Entry, rows, cols int) {
+	if len(es) < 2 {
+		return
+	}
+	tmp := a.scratchEntries(len(es))
+	counts := a.zeroCounts(max(rows, cols) + 1)
+	countPass(tmp, es, counts[:cols+1], false)
+	clear(counts)
+	countPass(es, tmp, counts[:rows+1], true)
+	a.putCounts(counts)
+	a.PutEntries(tmp)
+}
+
+// countPass stably scatters src into dst ordered by row (byRow) or
+// column; counts must be zeroed and one longer than that dimension.
+func countPass(dst, src []Entry, counts []int, byRow bool) {
+	if byRow {
+		for _, e := range src {
+			counts[e.Row+1]++
+		}
+	} else {
+		for _, e := range src {
+			counts[e.Col+1]++
+		}
+	}
+	for k := 1; k < len(counts); k++ {
+		counts[k] += counts[k-1]
+	}
+	if byRow {
+		for _, e := range src {
+			dst[counts[e.Row]] = e
+			counts[e.Row]++
+		}
+	} else {
+		for _, e := range src {
+			dst[counts[e.Col]] = e
+			counts[e.Col]++
+		}
+	}
 }
 
 // Entries returns a copy of the stored triples.

@@ -1,8 +1,11 @@
 package matrix
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -167,4 +170,80 @@ func TestCSRAtBoundsPanic(t *testing.T) {
 		}
 	}()
 	m.At(0, 5)
+}
+
+// comparisonCompact is the reference Compact is checked against: a
+// comparison sort on (row, col), then duplicate summing and zero
+// dropping, written independently of the package's helpers.
+func comparisonCompact(es []Entry) []Entry {
+	sorted := slices.Clone(es)
+	slices.SortFunc(sorted, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
+	})
+	var out []Entry
+	for _, e := range sorted {
+		if n := len(out); n > 0 && out[n-1].Row == e.Row && out[n-1].Col == e.Col {
+			out[n-1].Val += e.Val
+			continue
+		}
+		out = append(out, e)
+	}
+	return slices.DeleteFunc(out, func(e Entry) bool { return e.Val == 0 })
+}
+
+// TestCompactMatchesComparisonSort is the counting sort's property
+// test: on random matrices, Compact (and CompactParallel, whose runs
+// use the same counting sort) equals a comparison-sort reference,
+// with and without an arena. The shapes cover rows ≠ cols, 0×n and
+// 1×1, dimensions far larger than the entry count, negative values,
+// and duplicates that cancel to zero.
+func TestCompactMatchesComparisonSort(t *testing.T) {
+	type shape struct{ rows, cols, entries, vals int }
+	shapes := []shape{
+		{0, 7, 0, 3},
+		{1, 1, 40, 3},
+		{3, 11, 200, 4},
+		{11, 3, 200, 4},
+		{50000, 70000, 30, 5},
+		{1, 90000, 25, 2},
+		{64, 64, 10000, 3},
+		{200, 150, 20000, 6},
+	}
+	rng := rand.New(rand.NewSource(21))
+	arena := NewArena()
+	for _, sh := range shapes {
+		for trial := 0; trial < 4; trial++ {
+			es := make([]Entry, sh.entries)
+			for k := range es {
+				// Values in [-vals, vals]: duplicates regularly cancel.
+				es[k] = Entry{Row: rng.Intn(sh.rows), Col: rng.Intn(sh.cols), Val: rng.Intn(2*sh.vals+1) - sh.vals}
+			}
+			// A pair that sums to exactly zero on one cell.
+			if len(es) > 0 {
+				e := es[0]
+				es = append(es, Entry{Row: e.Row, Col: e.Col, Val: 9}, Entry{Row: e.Row, Col: e.Col, Val: -9})
+			}
+			want := comparisonCompact(es)
+			for _, a := range []*Arena{nil, arena} {
+				build := func() *COO {
+					c := NewCOOIn(a, sh.rows, sh.cols, len(es))
+					c.AddEntries(es)
+					return c
+				}
+				label := fmt.Sprintf("%dx%d %d entries trial %d pooled %v", sh.rows, sh.cols, len(es), trial, a != nil)
+				c := build().Compact()
+				if !entriesEqual(c.entries, want) {
+					t.Fatalf("%s: Compact differs from the comparison-sort reference", label)
+				}
+				c.Release()
+				for _, workers := range []int{2, 3} {
+					p := build().CompactParallel(workers)
+					if !entriesEqual(p.entries, want) {
+						t.Fatalf("%s: CompactParallel(%d) differs from the comparison-sort reference", label, workers)
+					}
+					p.Release()
+				}
+			}
+		}
+	}
 }

@@ -7,23 +7,26 @@ import (
 
 // The incremental window compactor: the bounded-memory counterpart of
 // building one COO per window over a fully materialized trace. A
-// WindowCompactor holds one COO shard per aggregation window; event
-// triples stream in concurrently in any order, and each window is
-// compacted to CSR — and its builder storage released — the moment
-// the caller knows no more triples can reach it (Seal). Because
-// compaction sorts triples by coordinate and sums duplicates, the
-// sealed CSR is a pure function of the window's triple multiset:
-// identical for any arrival order, any worker count, any interleaving.
-// That multiset-determinism is what lets the netsim streaming engine
-// keep the batch engine's bit-identical-output contract while
-// finalizing windows mid-run.
+// WindowCompactor holds one COO shard per aggregation window;
+// producers hand it batches of triples concurrently in any order, and
+// each window is compacted to CSR — and its builder storage released
+// — the moment the caller knows no more triples can reach it (Seal).
+// Because compaction counting-sorts triples by coordinate and sums
+// duplicates as integers, the sealed CSR is a pure function of the
+// window's triple multiset: identical for any arrival order, any
+// batching, any worker count, any interleaving. That
+// multiset-determinism is what lets the netsim streaming engine keep
+// the batch engine's bit-identical-output contract while finalizing
+// windows mid-run.
 
-// WindowCompactor accumulates (window, row, col, value) triples into
-// per-window COO shards and compacts each shard to CSR on Seal. Add
-// and Note are safe for concurrent use (per-window locking); Seal for
-// a given window must not race with Adds to that same window — the
-// caller's sealing discipline (all contributing producers finished)
-// is exactly what makes that safe.
+// WindowCompactor accumulates per-window batches of triples into
+// per-window COO shards and compacts each shard to CSR on Seal.
+// Append is safe for concurrent use (one per-window lock per call, so
+// a producer that buffers a whole chunk's triples pays one lock per
+// window it touched, not one per triple); Seal for a given window must
+// not race with Appends to that same window — the caller's sealing
+// discipline (all contributing producers finished) is exactly what
+// makes that safe.
 type WindowCompactor struct {
 	rows, cols int
 	shards     []*COO
@@ -39,16 +42,11 @@ type WindowCompactor struct {
 	hint  int
 }
 
-// NewWindowCompactor builds a compactor for `windows` aggregation
-// intervals over rows×cols matrices.
-func NewWindowCompactor(rows, cols, windows int) *WindowCompactor {
-	return NewWindowCompactorArena(nil, rows, cols, windows, 0)
-}
-
-// NewWindowCompactorArena is NewWindowCompactor with the per-window
+// NewWindowCompactorArena builds a compactor for `windows`
+// aggregation intervals over rows×cols matrices, with the per-window
 // builder storage pooled in an arena. hint pre-sizes each window's
 // slab request (typically the request's event budget divided by the
-// window count); a nil arena makes both extra parameters moot.
+// window count); a nil arena allocates fresh and makes hint moot.
 func NewWindowCompactorArena(a *Arena, rows, cols, windows, hint int) *WindowCompactor {
 	if windows < 0 {
 		panic(fmt.Sprintf("matrix: negative window count %d", windows))
@@ -69,29 +67,24 @@ func NewWindowCompactorArena(a *Arena, rows, cols, windows, hint int) *WindowCom
 // Windows returns the number of aggregation intervals.
 func (wc *WindowCompactor) Windows() int { return len(wc.shards) }
 
-// Add folds the triple (i, j, v) into window w's shard. The shard is
-// allocated lazily, so untouched windows cost nothing until sealed.
-func (wc *WindowCompactor) Add(w, i, j, v int) {
+// Append folds one producer's batch into window w under a single
+// lock: the triples es (copied, so the caller may reuse the slice),
+// plus window bookkeeping that is not matrix data — events counts
+// observations, extra accumulates a caller-defined tally (the netsim
+// engine counts dropped packet volume there). Seal returns both
+// tallies. The shard is allocated lazily, so untouched windows cost
+// nothing until sealed.
+func (wc *WindowCompactor) Append(w int, es []Entry, events, extra int) {
 	wc.locks[w].Lock()
 	defer wc.locks[w].Unlock()
 	if wc.sealed[w] {
-		panic(fmt.Sprintf("matrix: Add to sealed window %d", w))
+		panic(fmt.Sprintf("matrix: Append to sealed window %d", w))
 	}
-	if wc.shards[w] == nil {
-		wc.shards[w] = NewCOOIn(wc.arena, wc.rows, wc.cols, wc.hint)
-	}
-	wc.shards[w].Add(i, j, v)
-}
-
-// Note records window bookkeeping that is not matrix data: events
-// counts an observation, extra accumulates a caller-defined tally
-// (the netsim engine counts dropped packet volume there). Both are
-// returned by Seal.
-func (wc *WindowCompactor) Note(w, events, extra int) {
-	wc.locks[w].Lock()
-	defer wc.locks[w].Unlock()
-	if wc.sealed[w] {
-		panic(fmt.Sprintf("matrix: Note on sealed window %d", w))
+	if len(es) > 0 {
+		if wc.shards[w] == nil {
+			wc.shards[w] = NewCOOIn(wc.arena, wc.rows, wc.cols, max(wc.hint, len(es)))
+		}
+		wc.shards[w].AddEntries(es)
 	}
 	wc.events[w] += events
 	wc.extra[w] += extra
@@ -99,7 +92,7 @@ func (wc *WindowCompactor) Note(w, events, extra int) {
 
 // Seal compacts window w to CSR, releases its builder storage (into
 // the arena, when the compactor has one), and returns the matrix
-// with the window's noted tallies. Sealing twice panics: a sealed
+// with the window's appended tallies. Sealing twice panics: a sealed
 // window's data is gone, and handing out an empty matrix in its
 // place would silently corrupt a stream.
 func (wc *WindowCompactor) Seal(w int) (m *CSR, events, extra int) {

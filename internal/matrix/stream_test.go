@@ -29,8 +29,11 @@ func TestWindowCompactorMatchesPerWindowCOO(t *testing.T) {
 		ref[tr.w].Add(tr.i, tr.j, tr.v)
 	}
 
-	// Concurrent fold in shuffled order across 8 goroutines.
-	wc := NewWindowCompactor(n, n, windows)
+	// Concurrent fold in shuffled order across 8 goroutines, each
+	// buffering its stripe per window and handing a window's buffer
+	// over in batches of random size, as the streaming engine's
+	// chunks do.
+	wc := NewWindowCompactorArena(nil, n, n, windows, 0)
 	shuffled := append([]triple(nil), all...)
 	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
 	var wg sync.WaitGroup
@@ -38,10 +41,21 @@ func TestWindowCompactorMatchesPerWindowCOO(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			grng := rand.New(rand.NewSource(int64(g)))
+			bufs := make([][]Entry, windows)
+			flush := func(w int) {
+				wc.Append(w, bufs[w], len(bufs[w]), 0)
+				bufs[w] = bufs[w][:0]
+			}
 			for k := g; k < len(shuffled); k += 8 {
 				tr := shuffled[k]
-				wc.Add(tr.w, tr.i, tr.j, tr.v)
-				wc.Note(tr.w, 1, 0)
+				bufs[tr.w] = append(bufs[tr.w], Entry{Row: tr.i, Col: tr.j, Val: tr.v})
+				if grng.Intn(40) == 0 {
+					flush(tr.w)
+				}
+			}
+			for w := range bufs {
+				flush(w)
 			}
 		}(g)
 	}
@@ -68,7 +82,7 @@ func TestWindowCompactorMatchesPerWindowCOO(t *testing.T) {
 // TestWindowCompactorEmptyWindow pins that an untouched window seals
 // to a valid empty CSR, not nil.
 func TestWindowCompactorEmptyWindow(t *testing.T) {
-	wc := NewWindowCompactor(4, 4, 2)
+	wc := NewWindowCompactorArena(nil, 4, 4, 2, 0)
 	m, events, extra := wc.Seal(1)
 	if m == nil || m.NNZ() != 0 || m.Rows() != 4 || m.Cols() != 4 {
 		t.Fatalf("empty window sealed to %+v", m)
@@ -82,9 +96,9 @@ func TestWindowCompactorEmptyWindow(t *testing.T) {
 // property the streaming engine relies on: sealing drops the shard,
 // so PendingNNZ shrinks as windows close.
 func TestWindowCompactorSealReleasesStorage(t *testing.T) {
-	wc := NewWindowCompactor(8, 8, 3)
+	wc := NewWindowCompactorArena(nil, 8, 8, 3, 0)
 	for k := 0; k < 100; k++ {
-		wc.Add(k%3, k%8, (k*3)%8, 1)
+		wc.Append(k%3, []Entry{{Row: k % 8, Col: (k * 3) % 8, Val: 1}}, 1, 0)
 	}
 	before := wc.PendingNNZ()
 	if before != 100 {
@@ -98,7 +112,7 @@ func TestWindowCompactorSealReleasesStorage(t *testing.T) {
 }
 
 // TestWindowCompactorMisusePanics pins the guard rails: double seal
-// and add-after-seal are engine bugs and must fail loudly.
+// and append-after-seal are engine bugs and must fail loudly.
 func TestWindowCompactorMisusePanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -108,9 +122,9 @@ func TestWindowCompactorMisusePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	wc := NewWindowCompactor(2, 2, 1)
+	wc := NewWindowCompactorArena(nil, 2, 2, 1, 0)
 	wc.Seal(0)
 	expectPanic("double seal", func() { wc.Seal(0) })
-	expectPanic("add after seal", func() { wc.Add(0, 0, 0, 1) })
-	expectPanic("note after seal", func() { wc.Note(0, 1, 0) })
+	expectPanic("append after seal", func() { wc.Append(0, []Entry{{Row: 0, Col: 0, Val: 1}}, 1, 0) })
+	expectPanic("tally-only append after seal", func() { wc.Append(0, nil, 1, 0) })
 }

@@ -4,8 +4,9 @@ import "repro/internal/matrix"
 
 // The generation-side arena: one pooling scope for everything a
 // request's hot path builds and discards — chunk event buffers, the
-// concatenated trace slab, per-worker and per-window COO shards, and
-// the merge output. It wraps the matrix layer's triple arena and adds
+// concatenated trace slab, per-worker and per-window COO shards, the
+// streaming fold's chunk-local window buffers, and the merged or
+// summed aggregate. It wraps the matrix layer's triple arena and adds
 // an event-slab pool of its own, because the two element types
 // dominate a request's garbage in roughly equal measure.
 //

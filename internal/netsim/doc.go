@@ -72,11 +72,13 @@
 // fixes a worker-count-independent partition of its workload; the
 // engine fans the chunk indices across a worker pool, seeding chunk
 // k's RNG from (seed, k) by splitmix64. Workers accumulate into
-// private stores — per-chunk trace slots, or per-worker sparse COO
-// shards merged by matrix.MergeCOOArena, whose duplicate-summing
-// compaction is order-insensitive — so for a given (scenario,
-// network, seed, params) the aggregate output is bit-identical on 1
-// worker or N.
+// private stores — per-chunk trace slots, per-worker sparse COO
+// shards merged by matrix.MergeCOOArena, or (streaming) chunk-local
+// per-window buffers handed to a matrix.WindowCompactor once per
+// chunk — and every store compacts by a counting sort that sums
+// duplicates as integers, which is order-insensitive. So for a given
+// (scenario, network, seed, params) the aggregate output is
+// bit-identical on 1 worker or N.
 //
 // # Entry points
 //
@@ -92,9 +94,11 @@
 //   - GenerateCSRArena folds the run straight into the aggregate CSR
 //     without building a trace.
 //   - StreamCSRArena is its windowed, bounded-memory sibling: it
-//     folds events into an incremental per-window compactor and hands
-//     each window's CSR to a callback the moment it seals — long
-//     before the run completes — then returns the aggregate CSR.
+//     folds events into an incremental per-window compactor, with no
+//     lock per event, and hands each window's CSR to a callback the
+//     moment it seals — long before the run completes — then returns
+//     the aggregate CSR, summed from the sealed windows plus any
+//     events past the horizon.
 //
 // Sealing is driven by the optional ChunkSpanner interface
 // (conservative per-chunk time bounds; every catalog entry and

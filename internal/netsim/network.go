@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/patterns"
 )
@@ -49,10 +50,54 @@ type Host struct {
 }
 
 // Network is an ordered set of hosts; the order defines the traffic
-// matrix axis.
+// matrix axis. A Network is immutable once built.
 type Network struct {
 	hosts  []Host
 	byName map[string]int
+
+	// tab holds the tables scenarios read on every chunk, built on a
+	// network's first generation rather than in NewNetwork: the api
+	// layer builds a network per request, cache hits included, only
+	// to read its size.
+	once sync.Once
+	tab  *chunkTables
+}
+
+// chunkTables are a network's derived host lists. Scenarios read them
+// directly and must not modify them; the exported accessors that
+// compute the same lists hand out fresh copies.
+type chunkTables struct {
+	labels []string
+	roles  [len(roleNames)][]string // host names by role, axis order
+	blue   []string                 // workstations and servers, axis order
+	// ddos is the standard DDoS cast over Zones, or the error that
+	// Zones or the cast assignment reported.
+	ddos    patterns.DDoSRoles
+	ddosErr error
+}
+
+// tables builds the chunk tables once and returns them.
+func (n *Network) tables() *chunkTables {
+	n.once.Do(func() {
+		t := &chunkTables{}
+		n.tab = t
+		t.labels = n.Labels()
+		for r := range t.roles {
+			t.roles[r] = n.ByRole(Role(r))
+		}
+		for _, h := range n.hosts {
+			if h.Role == RoleWorkstation || h.Role == RoleServer {
+				t.blue = append(t.blue, h.Name)
+			}
+		}
+		zones, err := n.Zones()
+		if err != nil {
+			t.ddosErr = err
+			return
+		}
+		t.ddos, t.ddosErr = patterns.AssignDDoSRoles(zones)
+	})
+	return n.tab
 }
 
 // NewNetwork builds a network from hosts, rejecting duplicate
@@ -164,8 +209,8 @@ func (n *Network) Index(name string) (int, bool) {
 
 // ByRole returns the names of all hosts with the role, in order.
 func (n *Network) ByRole(r Role) []string {
-	// Scenarios call this per generation chunk, so size the result
-	// exactly: one allocation instead of append's doubling ladder.
+	// Size the result exactly: one allocation instead of append's
+	// doubling ladder.
 	count := 0
 	for _, h := range n.hosts {
 		if h.Role == r {

@@ -15,21 +15,31 @@ import (
 // materializes every event before any analysis runs, so memory scales
 // with duration×rate and nothing is observable mid-run.
 // StreamCSRArena keeps the same chunked determinism contract while
-// bounding memory by chunk and window size instead of trace size: it
-// folds events straight into an incremental per-window compactor
-// (matrix.WindowCompactor) and finalizes each window — sealed CSR, in
-// order — as soon as every chunk that could touch it has finished,
-// using the ChunkSpanner time-locality contract. Time-to-first-window
-// drops from O(run) to O(window) for time-local scenarios.
+// bounding builder memory by chunk and open-window size instead of
+// trace size (the sealed windows' compacted CSRs stay referenced
+// until the aggregate is summed from them): each chunk's events go to
+// an incremental per-window compactor (matrix.WindowCompactor), which
+// finalizes each window — sealed CSR, in order — as soon as every
+// chunk that could touch it has finished, using the ChunkSpanner
+// time-locality contract. Time-to-first-window drops from O(run) to
+// O(window) for time-local scenarios.
 //
 // Determinism survives because a window's CSR is a pure function of
 // the event multiset that lands in it: chunks derive all randomness
 // from (seed, chunk), window membership depends only on each event's
-// own timestamp, and COO compaction sorts by coordinate and sums —
-// commutative — so any worker count and any arrival order compact to
-// bit-identical windows. The batch-vs-stream parity suite
+// own timestamp, and COO compaction sorts by coordinate and sums
+// integers — commutative — so any worker count, any arrival order and
+// any batching compact to bit-identical windows. The batch-vs-stream parity suite
 // (stream_test.go) pins this across the catalog, composed specs, and
 // workers 1/4/16.
+
+// windowBuf is one chunk's contribution to one window, buffered by
+// the worker running the chunk and handed to the compactor whole.
+type windowBuf struct {
+	entries []matrix.Entry
+	events  int
+	dropped int
+}
 
 // StreamCSRArena generates the scenario and streams its fixed-length
 // aggregation windows through onWindow, in order, each finalized —
@@ -38,21 +48,29 @@ import (
 // are bit-identical to Trace.WindowsCSRArena over the batch trace
 // with the same windowLen and horizon, for any worker count. A
 // horizon ≤ 0 uses the configured duration. The whole-run aggregate
-// accumulates in sharded COO alongside the fold (exactly
-// GenerateCSRArena's) and is returned as CSR with the run stats once
+// is summed from the sealed windows plus the in-axis events that fall
+// outside every window (a horizon shorter than the run), so every
+// event is sorted once; integer sums make it bit-identical to
+// GenerateCSRArena's. It is returned as CSR with the run stats once
 // the stream completes. An onWindow error or a cancelled ctx stops
 // generation at chunk granularity and is returned; windows already
 // delivered stay delivered.
 //
-// The window compactor's per-window shards, the aggregate's worker
-// shards, and the merge output are pooled in the arena (nil
+// No lock is taken per event. Each worker folds a chunk's events
+// into chunk-local per-window buffers, reused across its chunks, and
+// hands each non-empty buffer to the compactor with one locked call
+// when the chunk ends, before releasing the chunk's windows.
+//
+// The window compactor's per-window shards, the workers' chunk
+// buffers and the aggregate's builder are pooled in the arena (nil
 // allocates fresh — bit-identical windows either way). Window
-// builders recycle at Seal, worker shards after the final merge; the
-// sealed window CSRs and the returned aggregate CSR are always
-// freshly allocated and the consumer's forever. On an error mid-run,
-// builders of never-sealed windows are left to the GC rather than
-// reclaimed — safe, since pooling is only an optimization and error
-// paths are off the steady-state loop.
+// builders recycle at Seal, chunk buffers and the aggregate builder
+// when the run ends; the sealed window CSRs and the returned
+// aggregate CSR are always freshly allocated and the consumer's
+// forever (the run only reads the sealed windows back to sum the
+// aggregate). On an error mid-run, builders of never-sealed windows
+// are left to the GC rather than reclaimed — safe, since pooling is
+// only an optimization and error paths are off the steady-state loop.
 func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
 	if windowLen <= 0 {
 		return nil, Stats{}, fmt.Errorf("netsim: window length must be positive, got %g", windowLen)
@@ -103,18 +121,21 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 
 	budget := eventBudget(pd)
 	compactor := matrix.NewWindowCompactorArena(a.Matrix(), n, n, nw, divHint(budget, nw))
-	shards := make([]*matrix.COO, workers)
+	// bufs[w] are worker w's chunk-local window buffers: slot i holds
+	// the current chunk's contribution to window lo[k]+i. rest[w] holds
+	// worker w's in-axis events outside every window.
+	bufs := make([][]windowBuf, workers)
+	rest := make([][]matrix.Entry, workers)
 	partial := make([]Stats, workers)
-	shardHint := divHint(budget, workers)
-	for w := range shards {
-		shards[w] = matrix.NewCOOIn(a.Matrix(), n, n, shardHint)
-	}
+	bufHint := divHint(budget, chunks)
 
 	var (
 		emitMu   sync.Mutex
 		frontier int
 		emitErr  error
 	)
+	// sealed keeps every delivered window's CSR for the aggregate.
+	sealed := make([]*matrix.CSR, 0, nw)
 	// advance seals and delivers every window at the frontier whose
 	// pending count has reached zero. Callers hold emitMu, so windows
 	// leave in strict index order no matter which worker advances.
@@ -129,6 +150,7 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 		}
 		for frontier < nw && pending[frontier].Load() == 0 {
 			csr, events, dropped := compactor.Seal(frontier)
+			sealed = append(sealed, csr)
 			start := float64(frontier) * windowLen
 			win := SparseWindow{
 				Start:   start,
@@ -151,53 +173,67 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 	err = advance()
 	emitMu.Unlock()
 	if err != nil {
-		releaseShards(shards)
 		return nil, Stats{}, err
 	}
 
 	err = runChunks(ctx, chunks, workers, seed, func(w, k int, rng *rand.Rand) error {
-		acc, st := shards[w], &partial[w]
+		st := &partial[w]
+		klo, khi := int(lo[k]), int(hi[k])
+		for len(bufs[w]) <= khi-klo {
+			bufs[w] = append(bufs[w], windowBuf{entries: a.Matrix().GetEntries(divHint(bufHint, khi-klo+1))})
+		}
+		win := bufs[w][:khi-klo+1]
 		if err := s.Emit(net, rng, pd, k, func(e Event) {
 			st.Events++
 			st.Packets += e.Packets
 			i, iok := net.Index(e.Src)
 			j, jok := net.Index(e.Dst)
 			inAxis := iok && jok
-			if inAxis {
-				acc.Add(i, j, e.Packets)
-			} else {
+			if !inAxis {
 				st.Dropped += e.Packets
 			}
 			wi, ok := windowIndex(e.Time, windowLen, horizon, nw)
 			if !ok {
+				if inAxis {
+					rest[w] = append(rest[w], matrix.Entry{Row: i, Col: j, Val: e.Packets})
+				}
 				return
 			}
-			if wi < int(lo[k]) || wi > int(hi[k]) {
+			if wi < klo || wi > khi {
 				// The scenario emitted outside its declared span: the
 				// window may already be sealed and silently missing this
 				// event. Fail loudly — this is a ChunkSpanner bug.
 				panic(fmt.Sprintf("netsim: scenario %q chunk %d emitted t=%g into window %d outside its declared span [%d,%d]",
-					s.Name(), k, e.Time, wi, lo[k], hi[k]))
+					s.Name(), k, e.Time, wi, klo, khi))
 			}
+			b := &win[wi-klo]
+			b.events++
 			if inAxis {
-				compactor.Add(wi, i, j, e.Packets)
-				compactor.Note(wi, 1, 0)
+				b.entries = append(b.entries, matrix.Entry{Row: i, Col: j, Val: e.Packets})
 			} else {
-				compactor.Note(wi, 1, e.Packets)
+				b.dropped += e.Packets
 			}
 		}); err != nil {
 			return err
 		}
-		// The chunk is done: release its windows and flush any that
-		// sealed. Only a decrement that hits zero can move the
-		// frontier, so the lock is taken only then.
-		sealed := false
-		for w := lo[k]; w <= hi[k]; w++ {
-			if pending[w].Add(-1) == 0 {
-				sealed = true
+		// The chunk is done: hand its buffers over, one locked call
+		// per window it touched, then release its windows and flush
+		// any that sealed. Only a decrement that hits zero can move
+		// the frontier, so the lock is taken only then.
+		for x := range win {
+			b := &win[x]
+			if b.events > 0 {
+				compactor.Append(klo+x, b.entries, b.events, b.dropped)
+			}
+			b.entries, b.events, b.dropped = b.entries[:0], 0, 0
+		}
+		sealedAny := false
+		for x := klo; x <= khi; x++ {
+			if pending[x].Add(-1) == 0 {
+				sealedAny = true
 			}
 		}
-		if sealed {
+		if sealedAny {
 			emitMu.Lock()
 			err := advance()
 			emitMu.Unlock()
@@ -205,6 +241,11 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 		}
 		return nil
 	})
+	for _, bs := range bufs {
+		for _, b := range bs {
+			a.Matrix().PutEntries(b.entries)
+		}
+	}
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -215,23 +256,32 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 	err = advance()
 	emitMu.Unlock()
 	if err != nil {
-		releaseShards(shards)
 		return nil, Stats{}, err
 	}
 
-	merged, err := matrix.MergeCOOArena(ctx, a.Matrix(), shards...)
-	if err != nil {
-		releaseShards(shards)
-		return nil, Stats{}, err
+	// The aggregate: every sealed window's cells plus the remainder,
+	// in one builder sized up front and compacted once.
+	total := 0
+	for _, m := range sealed {
+		total += m.NNZ()
 	}
-	releaseShards(shards)
+	for _, r := range rest {
+		total += len(r)
+	}
+	agg := matrix.NewCOOIn(a.Matrix(), n, n, total)
+	for _, m := range sealed {
+		agg.AddCSR(m)
+	}
+	for _, r := range rest {
+		agg.AddEntries(r)
+	}
 	var stats Stats
 	for _, st := range partial {
 		stats.Events += st.Events
 		stats.Packets += st.Packets
 		stats.Dropped += st.Dropped
 	}
-	csr := merged.ToCSR()
-	merged.Release()
+	csr := agg.ToCSR()
+	agg.Release()
 	return csr, stats, nil
 }

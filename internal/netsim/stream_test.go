@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -150,6 +151,105 @@ func TestStreamCSRComposedParity(t *testing.T) {
 		compareWindows(t, SpecString(s), got, want)
 		if t.Failed() {
 			t.Fatalf("composed parity broken at tree %d: %s", i, SpecString(s))
+		}
+	}
+}
+
+// horizonScenario emits through a whole run whose streaming horizon
+// ends early: chunk k covers second k mod ⌈duration⌉ with random
+// in-axis and foreign-host events, and the chunk whose second holds
+// the horizon also emits events at exactly t = horizon. It is never
+// registered.
+type horizonScenario struct{ horizon float64 }
+
+func (horizonScenario) Name() string        { return "horizon-test" }
+func (horizonScenario) Description() string { return "events around and past a streaming horizon" }
+func (horizonScenario) Shape() string       { return "random cells" }
+
+func (horizonScenario) Chunks(net *Network, p Params) int { return 2 * int(math.Ceil(p.Duration)) }
+
+func (horizonScenario) ChunkSpan(net *Network, p Params, chunk int) (float64, float64) {
+	sec := float64(chunk % int(math.Ceil(p.Duration)))
+	return sec, sec + 1
+}
+
+func (h horizonScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int, emit func(Event)) error {
+	sec := float64(chunk % int(math.Ceil(p.Duration)))
+	labels := net.tables().labels
+	host := func() string { return labels[rng.Intn(len(labels))] }
+	for k := 0; k < 12; k++ {
+		emit(Event{Time: sec + rng.Float64(), Src: host(), Dst: host(), Packets: 1 + rng.Intn(4)})
+	}
+	emit(Event{Time: sec + rng.Float64(), Src: "GHOST", Dst: host(), Packets: 2})
+	if sec <= h.horizon && h.horizon < sec+1 {
+		emit(Event{Time: h.horizon, Src: host(), Dst: host(), Packets: 5})
+		emit(Event{Time: h.horizon, Src: host(), Dst: host(), Packets: 3})
+		emit(Event{Time: h.horizon, Src: host(), Dst: "GHOST", Packets: 7})
+	}
+	return nil
+}
+
+// TestStreamCSRHorizonParity pins the aggregate's remainder path: with
+// a horizon shorter than the run, in-axis events past the last window
+// reach the aggregate only through the remainder, and events at
+// exactly t = horizon land in the final window. The streamed
+// aggregate and Stats must equal GenerateCSRArena's (which ignores
+// windows) and the windows must equal the batch view over the same
+// horizon, for workers 1, 4 and 16, pooled or not. Horizons 15 (a
+// whole number of windows, so t = horizon sits on the last window's
+// end) and 12.5 (mid-window) are both covered.
+func TestStreamCSRHorizonParity(t *testing.T) {
+	net := ScaledNetwork(40)
+	p := Params{Duration: 20}
+	const windowLen = 5.0
+	arena := NewArena()
+	for _, horizon := range []float64{15, 12.5} {
+		s := horizonScenario{horizon: horizon}
+		wantCSR, wantStats, err := GenerateCSRArena(context.Background(), nil, s, net, 31, 4, p)
+		if err != nil {
+			t.Fatalf("GenerateCSRArena: %v", err)
+		}
+		trace, err := GenerateTraceArena(context.Background(), nil, s, net, 31, 4, p)
+		if err != nil {
+			t.Fatalf("GenerateTraceArena: %v", err)
+		}
+		wantWins, err := trace.WindowsCSRArena(context.Background(), nil, net, windowLen, horizon)
+		if err != nil {
+			t.Fatalf("WindowsCSRArena: %v", err)
+		}
+		windowed, atHorizon := 0, 0
+		for _, w := range wantWins {
+			windowed += w.Events
+		}
+		for _, e := range trace {
+			if e.Time == horizon {
+				atHorizon++
+			}
+		}
+		if windowed >= wantStats.Events || atHorizon == 0 {
+			t.Fatalf("horizon %g: %d of %d events windowed, %d at the horizon; the fixture must leave a remainder and hit the horizon",
+				horizon, windowed, wantStats.Events, atHorizon)
+		}
+		for _, a := range []*Arena{nil, arena} {
+			for _, workers := range []int{1, 4, 16} {
+				var got []SparseWindow
+				csr, stats, err := StreamCSRArena(context.Background(), a, s, net, 31, workers, p, windowLen, horizon,
+					func(k int, w SparseWindow) error {
+						got = append(got, w)
+						return nil
+					})
+				if err != nil {
+					t.Fatalf("StreamCSRArena: %v", err)
+				}
+				label := fmt.Sprintf("horizon %g workers %d pooled %v", horizon, workers, a != nil)
+				if !reflect.DeepEqual(csr, wantCSR) {
+					t.Errorf("%s: aggregate CSR differs from GenerateCSRArena", label)
+				}
+				if !reflect.DeepEqual(stats, wantStats) {
+					t.Errorf("%s: stats = %+v, want %+v", label, stats, wantStats)
+				}
+				compareWindows(t, label, got, wantWins)
+			}
 		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // re-scanned the whole trace once per window (O(W·E)) and
 // materialized an n² Dense for every interval; WindowsCSRArena folds
 // the trace into per-window COO shards in a single pass (O(E)) and
-// compacts each shard to CSR in parallel, so the spatial-temporal
-// view costs O(E + nnz·log nnz) no matter how many windows the
-// horizon splits into. Windows (events.go) densifies this result.
+// compacts each shard to CSR in parallel by a counting sort, so the
+// spatial-temporal view costs O(E + W·n) no matter how the events
+// fall across the windows. Windows (events.go) densifies this result.
 
 // SparseWindow is one aggregation interval with its traffic matrix
 // in CSR form.
@@ -135,7 +135,7 @@ func (t Trace) WindowsCSRArena(ctx context.Context, a *Arena, net *Network, wind
 	}
 
 	// Compact each window's shard to CSR; windows are independent, so
-	// the O(nnz log nnz) sorts spread across all CPUs.
+	// the counting sorts spread across all CPUs.
 	out := make([]SparseWindow, nw)
 	workers := runtime.NumCPU()
 	if workers > nw {
