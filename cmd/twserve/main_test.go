@@ -496,3 +496,21 @@ func TestGenerateStreamEndpointBypassesCache(t *testing.T) {
 		t.Errorf("stream touched the cache: %+v", stats)
 	}
 }
+
+// TestPaddedPatternIDAccepted: /v1/module and a quiz attempt resolve
+// a figure-pattern ID through the same lookup, so an ID with
+// surrounding space is accepted by both.
+func TestPaddedPatternIDAccepted(t *testing.T) {
+	srv := newTestServer(t)
+	const padded = " fig9c-ddos-attack "
+	if resp := postJSON(t, srv.URL+"/v1/module", api.ModuleRequest{Pattern: padded}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/module: status %d", resp.StatusCode)
+	}
+	if resp := postJSON(t, srv.URL+"/v1/player", api.PlayerCreateRequest{ID: "padded"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("create player: status %d", resp.StatusCode)
+	}
+	resp := postJSON(t, srv.URL+"/v1/player/padded/attempt", map[string]string{"pattern": padded})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("attempt: status %d", resp.StatusCode)
+	}
+}

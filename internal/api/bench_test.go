@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"fmt"
+	"io"
 	"testing"
 )
 
@@ -123,6 +124,33 @@ func BenchmarkGenerateCacheHit(b *testing.B) {
 		}
 		if !res.CacheHit {
 			b.Fatal("hot request missed the cache")
+		}
+	}
+}
+
+// BenchmarkWriteCacheHit measures a served warm hit in-process: the
+// lesson's largest shape (a 48-host windowed generate with
+// include_matrices), primed with a miss and one hit, then looked up
+// and written. The hit writes the entry's stored body, so the write
+// is one copy, and allocs/op is the view finishResult builds; CI
+// gates it against BENCH_PR7.json.
+func BenchmarkWriteCacheHit(b *testing.B) {
+	svc := New()
+	req := NewGenerateRequest("ddos", WithSeed(7), WithHosts(48), WithWindow(15), WithMatrices())
+	for range 2 {
+		if _, err := svc.Generate(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := svc.Generate(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteJSON(io.Discard, res); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

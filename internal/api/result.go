@@ -148,6 +148,15 @@ type GenerateResult struct {
 	Network      *netsim.Network `json:"-"`
 	Zones        patterns.Zones  `json:"-"`
 	AggregateCSR *matrix.CSR     `json:"-"`
+
+	// hits is the cache entry's stored-body holder, set on a result
+	// the service caches. body is the stored encoding WriteJSON writes
+	// for this view (a cache hit's, or a proxied backend's answer),
+	// valid while self is the view's own address. encoding/json never
+	// sees any of the three.
+	hits *hitBodies
+	body []byte
+	self *GenerateResult
 }
 
 // AnalyzeResult is the response to an AnalyzeRequest.
@@ -162,6 +171,11 @@ type AnalyzeResult struct {
 	// Supernodes lists every qualifying hub, busiest first.
 	Supernodes []Hub `json:"supernodes,omitempty"`
 	CacheHit   bool  `json:"cache_hit"`
+
+	// body and self bind a stored encoding to this view, as on
+	// GenerateResult.
+	body []byte
+	self *AnalyzeResult
 }
 
 // ScenarioInfo is one catalog entry in a CatalogResult.

@@ -27,7 +27,7 @@ func (r GenerateRequest) RouteKey() string {
 	if err != nil {
 		return "invalid|" + strings.TrimSpace(r.Spec)
 	}
-	return r.cacheKey(netsim.SpecString(scn), netsim.ScaledNetwork(r.Hosts).Len())
+	return r.cacheKey(netsim.SpecString(scn), netsim.ScaledSize(r.Hosts))
 }
 
 // RouteKey routes the spec path exactly like the Generate it turns
@@ -64,7 +64,7 @@ func (r ModuleRequest) RouteKey() string {
 		return "invalid|" + strings.TrimSpace(r.Spec)
 	}
 	p := netsim.Params{Duration: r.Duration, Rate: r.Rate, Scale: r.Scale}
-	return paramsKey("module", netsim.SpecString(scn), netsim.ScaledNetwork(r.Hosts).Len(), r.Seed, p)
+	return paramsKey("module", netsim.SpecString(scn), netsim.ScaledSize(r.Hosts), r.Seed, p)
 }
 
 // RouteKey routes campaigns by the same identity their cache entry
@@ -75,6 +75,6 @@ func (r CampaignRequest) RouteKey() string {
 		return "invalid|" + strings.TrimSpace(r.Spec)
 	}
 	p := netsim.Params{Duration: r.Duration, Rate: r.Rate, Scale: r.Scale}
-	return paramsKey("campaign", netsim.SpecString(scn), netsim.ScaledNetwork(r.Hosts).Len(), r.Seed, p) +
+	return paramsKey("campaign", netsim.SpecString(scn), netsim.ScaledSize(r.Hosts), r.Seed, p) +
 		fmt.Sprintf("|win=%g", r.Window)
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -123,58 +124,88 @@ func resolveWorkers(requested int) int {
 // Cancelling ctx aborts the sharded generation mid-run; a cancelled
 // or failed run never enters the cache.
 func (svc *Service) Generate(ctx context.Context, req GenerateRequest) (*GenerateResult, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	scn, err := resolveSpec(req.Spec)
+	res, hit, err := svc.cachedGenerate(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	canonical := netsim.SpecString(scn)
-	net := netsim.ScaledNetwork(req.Hosts)
-	key := req.cacheKey(canonical, net.Len())
-	if v, ok := svc.cache.Get(key); ok {
-		return finishResult(v.(*GenerateResult), true, req.IncludeMatrices), nil
+	return finishResult(res, hit, req.IncludeMatrices), nil
+}
+
+// hitBodies is a cache entry's holder for its stored encodings: one
+// generate body per include_matrices variant plus the spec-path
+// /v1/analyze answer. Each is encoded on the entry's first hit that
+// needs it, never on the miss, so an entry that has only missed holds
+// none.
+type hitBodies struct {
+	generate [2]storedBody // indexed by include_matrices
+	analyze  storedBody
+}
+
+// cachedGenerate returns the cached result for the request, running
+// the cold path on a miss. hit reports that the result came from the
+// cache or from a concurrent caller's run. The network is built only
+// inside the run: the key needs just its size.
+func (svc *Service) cachedGenerate(ctx context.Context, req GenerateRequest) (res *GenerateResult, hit bool, err error) {
+	if err := req.validate(); err != nil {
+		return nil, false, err
 	}
-	res, shared, err := svc.flights.do(ctx, key, func() (any, error) {
+	scn, err := resolveSpec(req.Spec)
+	if err != nil {
+		return nil, false, err
+	}
+	canonical := netsim.SpecString(scn)
+	key := req.cacheKey(canonical, netsim.ScaledSize(req.Hosts))
+	if v, ok := svc.cache.Get(key); ok {
+		return v.(*GenerateResult), true, nil
+	}
+	v, shared, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "generate", key)
 		defer end()
-		r, err := svc.generate(fctx, scn, canonical, net, req)
+		r, err := svc.generate(fctx, scn, canonical, netsim.ScaledNetwork(req.Hosts), req)
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}
+		r.hits = new(hitBodies)
 		svc.cache.Put(key, r)
 		return r, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return finishResult(res.(*GenerateResult), shared, req.IncludeMatrices), nil
+	return v.(*GenerateResult), shared, nil
 }
 
 // finishResult builds the per-call view of a (possibly shared)
 // result: the hit marker and the opt-in dense cell grids, derived on
-// demand so the cached value itself stays encoding-neutral — two
+// demand so the cached result itself stays encoding-neutral — two
 // requests differing only in IncludeMatrices share one entry and
 // each still gets exactly what it asked for.
 //
 // The view defensively copies every mutable header the cached value
 // owns — label and schedule slices, the window list with its Reading
-// and Hub pointers, the mixture readings. A warm hit used to alias
-// them straight out of the cache, so one caller appending to Labels
-// or rewriting a window's AttackStage silently corrupted every later
-// response for the same key. The CSR matrices stay shared on purpose:
+// and Hub pointers, the aggregate's behavior and mixture readings. A
+// warm hit used to alias them straight out of the cache, so one
+// caller appending to Labels or rewriting a window's AttackStage
+// silently corrupted every later response for the same key. The CSR matrices stay shared on purpose:
 // they are the immutable bulk, never reclaimed or rewritten (the
 // arena never pools CSR storage — a cached buffer is permanently the
 // cache's), so sharing them is safe where sharing the headers was
 // not.
+//
+// A hit view also carries its cache entry's stored body for its
+// variant (see hitBodies), encoded from the first such view before
+// any caller saw it, so WriteJSON writes the view as one Write of
+// those bytes. The body is bound to the view's address: a copy,
+// changed or not, is encoded afresh, while a view changed in place
+// still writes the stored bytes — copy a view before editing it for
+// the wire.
 func finishResult(res *GenerateResult, hit, includeMatrices bool) *GenerateResult {
 	out := *res
 	out.CacheHit = hit
 	out.Labels = append([]string(nil), res.Labels...)
 	out.Schedule = append([]Phase(nil), res.Schedule...)
 	out.ComposedOf = append([]string(nil), res.ComposedOf...)
-	out.Aggregate.Mixture = append([]Reading(nil), res.Aggregate.Mixture...)
+	out.Aggregate = copyAggregate(res.Aggregate)
 	if len(res.Windows) > 0 {
 		ws := make([]WindowResult, len(res.Windows))
 		copy(ws, res.Windows)
@@ -194,13 +225,30 @@ func finishResult(res *GenerateResult, hit, includeMatrices bool) *GenerateResul
 		}
 		out.Windows = ws
 	}
+	variant := 0
 	if includeMatrices {
-		out.Cells = out.AggregateCSR.ToDense().ToRows()
+		variant = 1
+		out.Cells = out.AggregateCSR.ToRows()
 		for i := range out.Windows {
-			out.Windows[i].Cells = out.Windows[i].Matrix.ToDense().ToRows()
+			out.Windows[i].Cells = out.Windows[i].Matrix.ToRows()
 		}
 	}
+	if hit && res.hits != nil {
+		out.body, out.self = res.hits.generate[variant].of(&out), &out
+	}
 	return &out
+}
+
+// copyAggregate copies the aggregate block's mutable parts, the
+// behavior reading and the mixture, so a view's edits cannot reach
+// the cached result.
+func copyAggregate(a Aggregate) Aggregate {
+	if a.Behavior != nil {
+		b := *a.Behavior
+		a.Behavior = &b
+	}
+	a.Mixture = append([]Reading(nil), a.Mixture...)
+	return a
 }
 
 // generate is the cold path behind Generate: the streaming fold
@@ -328,19 +376,25 @@ func (svc *Service) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 		return nil, fmt.Errorf("%w: exactly one of spec or matrix must be set", ErrInvalidRequest)
 	}
 	if hasSpec {
-		gres, err := svc.Generate(ctx, GenerateRequest{
+		gres, hit, err := svc.cachedGenerate(ctx, GenerateRequest{
 			Spec: req.Spec, Hosts: req.Hosts, Seed: req.Seed, Workers: req.Workers,
 			Duration: req.Duration, Rate: req.Rate, Scale: req.Scale,
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &AnalyzeResult{
+		res := &AnalyzeResult{
 			Version: Version, Source: "spec", Spec: gres.Spec, Hosts: gres.Hosts,
-			Aggregate:  gres.Aggregate,
+			Aggregate:  copyAggregate(gres.Aggregate),
 			Supernodes: supernodeHubs(gres.AggregateCSR, gres.Labels),
-			CacheHit:   gres.CacheHit,
-		}, nil
+			CacheHit:   hit,
+		}
+		if hit && gres.hits != nil {
+			// Like finishResult: the entry's stored answer, encoded
+			// from the first hit's view before its caller saw it.
+			res.body, res.self = gres.hits.analyze.of(res), res
+		}
+		return res, nil
 	}
 
 	ctx, end := svc.sessions.Begin(ctx, "analyze", fmt.Sprintf("matrix %dx%d", len(req.Matrix), len(req.Matrix)))
@@ -444,11 +498,11 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 		return nil, fmt.Errorf("%w: exactly one of spec or pattern must be set", ErrInvalidRequest)
 	}
 	if hasPattern {
-		entry, ok := patterns.Lookup(req.Pattern)
-		if !ok {
+		m, err := modules.Pattern(req.Pattern)
+		if errors.Is(err, modules.ErrUnknownPattern) {
 			return nil, fmt.Errorf("%w: unknown pattern %q (see the catalog's patterns list)", ErrInvalidRequest, req.Pattern)
 		}
-		return modules.FromEntry(entry)
+		return m, err
 	}
 	// Reuse the generate-request field validation for the shared
 	// scenario parameters.
@@ -460,16 +514,15 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 	if err != nil {
 		return nil, err
 	}
-	net := netsim.ScaledNetwork(req.Hosts)
 	p := netsim.Params{Duration: req.Duration, Rate: req.Rate, Scale: req.Scale}
-	key := paramsKey("module", netsim.SpecString(scn), net.Len(), req.Seed, p)
+	key := paramsKey("module", netsim.SpecString(scn), netsim.ScaledSize(req.Hosts), req.Seed, p)
 	if v, ok := svc.cache.Get(key); ok {
 		return v.(*core.Module), nil
 	}
 	m, _, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "module", key)
 		defer end()
-		m, err := bridge.AggregateModule(fctx, scn, net, req.Seed, runtime.NumCPU(), p)
+		m, err := bridge.AggregateModule(fctx, scn, netsim.ScaledNetwork(req.Hosts), req.Seed, runtime.NumCPU(), p)
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}
@@ -498,9 +551,8 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 	if err != nil {
 		return nil, err
 	}
-	net := netsim.ScaledNetwork(req.Hosts)
 	p := netsim.Params{Duration: req.Duration, Rate: req.Rate, Scale: req.Scale}
-	key := paramsKey("campaign", netsim.SpecString(scn), net.Len(), req.Seed, p) +
+	key := paramsKey("campaign", netsim.SpecString(scn), netsim.ScaledSize(req.Hosts), req.Seed, p) +
 		fmt.Sprintf("|win=%g", req.Window)
 	if v, ok := svc.cache.Get(key); ok {
 		return v.(*bridge.Campaign), nil
@@ -508,7 +560,7 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 	c, _, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "campaign", key)
 		defer end()
-		c, err := bridge.CampaignFromScenario(fctx, scn, net, req.Seed, runtime.NumCPU(), p, req.Window)
+		c, err := bridge.CampaignFromScenario(fctx, scn, netsim.ScaledNetwork(req.Hosts), req.Seed, runtime.NumCPU(), p, req.Window)
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}

@@ -278,7 +278,7 @@ func (svc *Service) GenerateStream(ctx context.Context, req GenerateRequest, emi
 		func(k int, w netsim.SparseWindow) error {
 			wr := windowResult(k, w, zones, roles, rolesErr, labels)
 			if req.IncludeMatrices {
-				wr.Cells = wr.Matrix.ToDense().ToRows()
+				wr.Cells = wr.Matrix.ToRows()
 			}
 			return send(StreamFrame{Type: FrameWindow, Window: &wr})
 		})

@@ -7,10 +7,13 @@
 //
 // The wire contract is exactly the one cmd/twserve already serves
 // (internal/serve's route table). A 200 body is decoded into the same
-// wire struct the backend encoded and re-encoded by the proxy's serve
-// layer with the same encoder, so bytes in equal bytes out. Any other
-// answer travels as a serve.BackendError, which the proxy writes back
-// verbatim: status, Content-Type, Retry-After and body.
+// wire struct the backend encoded, through api.ReadJSON: a generate
+// or analyze result keeps the body it was read from, so the proxy's
+// serve layer writes the backend's bytes back verbatim, and any other
+// result is re-encoded with the same encoder, so bytes in equal bytes
+// out. Any other answer travels as a serve.BackendError, which the
+// proxy writes back verbatim: status, Content-Type, Retry-After and
+// body.
 package cluster
 
 import (
@@ -200,7 +203,10 @@ func (t *transport) do(ctx context.Context, method, path string, in, out any, id
 		if resp.StatusCode != http.StatusOK {
 			return forward(resp, data)
 		}
-		return json.Unmarshal(data, out)
+		// ReadJSON keeps a generate or analyze body as the result's
+		// stored encoding, so the proxy's WriteJSON forwards the
+		// backend's bytes instead of re-encoding them.
+		return api.ReadJSON(data, out)
 	}
 	return fmt.Errorf("cluster: %s %s%s failed after %d attempts: %w", method, t.base, path, attempts, lastErr)
 }

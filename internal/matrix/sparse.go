@@ -368,6 +368,24 @@ func (m *CSR) ToDense() *Dense {
 	return d
 }
 
+// ToRows returns the matrix as freshly allocated dense rows, equal
+// to ToDense().ToRows() but in one backing allocation (plus the row
+// headers) and without the intermediate dense copy. Each row is
+// capped at its own length, so appending to one row cannot overwrite
+// the next.
+func (m *CSR) ToRows() [][]int {
+	cells := make([]int, m.rows*m.cols)
+	rows := make([][]int, m.rows)
+	for i := range rows {
+		row := cells[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			row[m.colIdx[k]] = m.vals[k]
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
 // Transpose returns the CSC-equivalent as a new CSR matrix (a
 // transposed CSR is CSC of the original).
 func (m *CSR) Transpose() *CSR {

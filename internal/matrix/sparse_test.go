@@ -247,3 +247,43 @@ func TestCompactMatchesComparisonSort(t *testing.T) {
 		}
 	}
 }
+
+// TestCSRToRowsMatchesDense pins the one-allocation row export to the
+// dense round trip it replaces, on random matrices with empty rows,
+// empty columns and the degenerate shapes, and checks that the rows
+// own their storage: writing to them leaves the CSR as it was, and
+// appending to one row leaves the next alone.
+func TestCSRToRowsMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shapes := [][2]int{{0, 0}, {1, 1}, {3, 0}, {0, 4}, {7, 7}, {12, 5}, {5, 12}, {48, 48}}
+	for _, sh := range shapes {
+		for _, density := range []float64{0, 0.05, 0.3} {
+			var m *CSR
+			if sh[0] == 0 || sh[1] == 0 {
+				m = NewCOO(sh[0], sh[1]).ToCSR()
+			} else {
+				m = randomCSR(t, rng, sh[0], sh[1], density)
+			}
+			want := m.ToDense().ToRows()
+			got := m.ToRows()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%dx%d density %g: ToRows = %v, want %v", sh[0], sh[1], density, got, want)
+			}
+			for _, row := range got {
+				for j := range row {
+					row[j] = -1
+				}
+			}
+			if again := m.ToDense().ToRows(); !reflect.DeepEqual(again, want) {
+				t.Fatalf("%dx%d: writing to the rows changed the CSR", sh[0], sh[1])
+			}
+			if len(got) > 1 && sh[1] > 0 {
+				before := append([]int(nil), got[1]...)
+				_ = append(got[0], 99)
+				if !reflect.DeepEqual(got[1], before) {
+					t.Fatalf("%dx%d: appending to row 0 overwrote row 1", sh[0], sh[1])
+				}
+			}
+		}
+	}
+}

@@ -7,8 +7,10 @@
 package modules
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/game"
@@ -50,6 +52,44 @@ func FromEntry(e patterns.Entry) (*core.Module, error) {
 		Answers:              answers,
 		CorrectAnswerElement: correct,
 	}, nil
+}
+
+// ErrUnknownPattern reports a Pattern call with an ID the figure
+// catalog does not hold.
+var ErrUnknownPattern = errors.New("modules: unknown pattern")
+
+// patternSlot is one catalog panel's module, built on first use.
+type patternSlot struct {
+	once  sync.Once
+	entry patterns.Entry
+	m     *core.Module
+	err   error
+}
+
+// patternSlots maps every catalog ID to its build-once slot.
+var patternSlots = sync.OnceValue(func() map[string]*patternSlot {
+	slots := make(map[string]*patternSlot)
+	for _, e := range patterns.Catalog() {
+		slots[e.ID] = &patternSlot{entry: e}
+	}
+	return slots
+})
+
+// Pattern returns the playable module of one figure panel by catalog
+// ID, ignoring surrounding space: the module /v1/module serves and a
+// quiz attempt draws from. Each panel's module is built on its first
+// call and shared by every later one, so callers must treat it as
+// immutable (core.Module.Quiz copies what a quiz needs); FromEntry
+// builds a fresh copy. An ID the catalog lacks wraps
+// ErrUnknownPattern.
+func Pattern(id string) (*core.Module, error) {
+	id = strings.TrimSpace(id)
+	slot, ok := patternSlots()[id]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownPattern, id)
+	}
+	slot.once.Do(func() { slot.m, slot.err = FromEntry(slot.entry) })
+	return slot.m, slot.err
 }
 
 // buildAnswers selects three answers from the pool including the

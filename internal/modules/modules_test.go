@@ -1,7 +1,10 @@
 package modules
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -195,5 +198,46 @@ func TestShuffledModuleQuestionsGradeCorrectly(t *testing.T) {
 				t.Fatalf("%s seed %d: correct text mismatch", m.Name, seed)
 			}
 		}
+	}
+}
+
+// TestPatternBuildsOnce: every call for one panel, concurrent first
+// calls included, gets the same module, and surrounding space in the
+// ID is ignored. An unknown ID wraps ErrUnknownPattern.
+func TestPatternBuildsOnce(t *testing.T) {
+	const id = "fig9c-ddos-attack"
+	got := make([]*core.Module, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := Pattern(id)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = m
+		}()
+	}
+	wg.Wait()
+	for i, m := range got {
+		if m == nil || m != got[0] {
+			t.Fatalf("call %d returned %p, call 0 %p", i, m, got[0])
+		}
+	}
+	padded, err := Pattern(" " + id + " ")
+	if err != nil || padded != got[0] {
+		t.Fatalf("padded ID: %p, %v; want %p", padded, err, got[0])
+	}
+	entry, _ := patterns.Lookup(id)
+	fresh, err := FromEntry(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == got[0] || !reflect.DeepEqual(fresh, got[0]) {
+		t.Error("FromEntry should build a fresh module equal to the shared one")
+	}
+	if _, err := Pattern("fig99-nope"); !errors.Is(err, ErrUnknownPattern) {
+		t.Errorf("unknown pattern: err = %v", err)
 	}
 }

@@ -293,3 +293,28 @@ func TestLegacyAdaptersStayDeterministic(t *testing.T) {
 		t.Error("same seed produced different attack traces")
 	}
 }
+
+// TestScaledSizeMatchesNetwork pins the size-only shortcut the cache
+// and routing keys use to the network it stands for, over the whole
+// host range a request may ask for (api.MaxHosts is 10 000). Every
+// count up to 2 000 is checked, which covers every role floor (the
+// last binds at 26 hosts); above that a stride of 97 and the top of
+// the range keep the sweep to well under a second, where building
+// all 10 000 networks takes about 14 s.
+func TestScaledSizeMatchesNetwork(t *testing.T) {
+	const maxHosts = 10_000
+	check := func(h int) {
+		if got, want := ScaledSize(h), ScaledNetwork(h).Len(); got != want {
+			t.Fatalf("ScaledSize(%d) = %d, ScaledNetwork(%d).Len() = %d", h, got, h, want)
+		}
+	}
+	for h := -1; h <= 2000; h++ {
+		check(h)
+	}
+	for h := 2001; h <= maxHosts; h += 97 {
+		check(h)
+	}
+	for h := maxHosts - 20; h <= maxHosts; h++ {
+		check(h)
+	}
+}

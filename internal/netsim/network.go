@@ -153,22 +153,7 @@ func ScaledNetwork(hosts int) *Network {
 	if hosts <= 10 {
 		return StandardNetwork()
 	}
-	adv := hosts * 3 / 20
-	if adv < 4 {
-		adv = 4
-	}
-	ext := hosts * 3 / 20
-	if ext < 2 {
-		ext = 2
-	}
-	srv := hosts / 20
-	if srv < 1 {
-		srv = 1
-	}
-	ws := hosts - adv - ext - srv
-	if ws < 3 {
-		ws = 3
-	}
+	ws, srv, ext, adv := scaledMix(hosts)
 	list := make([]Host, 0, ws+srv+ext+adv)
 	add := func(n int, prefix string, role Role) {
 		for i := 1; i <= n; i++ {
@@ -184,6 +169,26 @@ func ScaledNetwork(hosts int) *Network {
 		panic(err) // generated host list cannot collide
 	}
 	return n
+}
+
+// ScaledSize is ScaledNetwork(hosts).Len() without building the
+// network: the host count a cache or routing key needs.
+func ScaledSize(hosts int) int {
+	if hosts <= 10 {
+		return 10
+	}
+	ws, srv, ext, adv := scaledMix(hosts)
+	return ws + srv + ext + adv
+}
+
+// scaledMix is ScaledNetwork's role split above the 10-host floor:
+// workstations, servers, externals and adversaries.
+func scaledMix(hosts int) (ws, srv, ext, adv int) {
+	adv = max(hosts*3/20, 4)
+	ext = max(hosts*3/20, 2)
+	srv = max(hosts/20, 1)
+	ws = max(hosts-adv-ext-srv, 3)
+	return ws, srv, ext, adv
 }
 
 // Len returns the number of hosts.

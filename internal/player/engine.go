@@ -2,6 +2,7 @@ package player
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/course"
 	"repro/internal/modules"
 	"repro/internal/netsim"
-	"repro/internal/patterns"
 	"repro/internal/quiz"
 )
 
@@ -255,11 +255,11 @@ func (e *Engine) renderModule(ctx context.Context, ref ModuleRef) (*core.Module,
 		return nil, fmt.Errorf("%w: exactly one of spec or pattern must be set", ErrInvalid)
 	}
 	if hasPattern {
-		entry, ok := patterns.Lookup(strings.TrimSpace(ref.Pattern))
-		if !ok {
+		m, err := modules.Pattern(ref.Pattern)
+		if errors.Is(err, modules.ErrUnknownPattern) {
 			return nil, fmt.Errorf("%w: unknown pattern %q", ErrInvalid, ref.Pattern)
 		}
-		return modules.FromEntry(entry)
+		return m, err
 	}
 	if ref.Hosts < 0 || ref.Hosts > maxHosts {
 		return nil, fmt.Errorf("%w: hosts %d out of range [0,%d]", ErrInvalid, ref.Hosts, maxHosts)

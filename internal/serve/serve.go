@@ -45,7 +45,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -407,7 +406,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		httpError(w, http.StatusBadRequest, errors.New("empty request body; send a JSON request object"))
 		return false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := api.ReadJSON(body, v); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return false
 	}
