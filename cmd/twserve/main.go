@@ -10,8 +10,8 @@
 //	twserve -addr :8080 -proxy http://10.0.0.7:8080,http://10.0.0.8:8080
 //
 // Without -proxy the process serves exactly one api.Service; its
-// parallelism comes from the service's lock-striped cache and from
-// chunked generation across all CPUs.
+// parallelism comes from concurrent requests sharing one cache and
+// from chunked generation across all CPUs.
 //
 // With -proxy the server computes nothing itself: it fronts N other
 // twserve *processes* through cluster.Cluster, routing by a
@@ -21,9 +21,9 @@
 // the live membership routes (GET /v1/cluster, POST
 // /v1/cluster/{add,remove}) for growing and shrinking the backend
 // ring under load with connection draining, and its GET /v1/stats
-// aggregates every backend's worker × stripe counters plus cluster
-// totals. A proxy whose every backend has been removed answers 503
-// until one is added back.
+// sums the live backends' counters and lists each backend's own. A
+// proxy whose every backend has been removed answers 503 until one is
+// added back.
 //
 // See the internal/serve package documentation for the route table
 // and the streaming/cancellation semantics (they are identical in

@@ -222,10 +222,9 @@ func TestSessionsAndRootEndpoints(t *testing.T) {
 	}
 }
 
-// TestStatsEndpointReportsFleet: /v1/stats carries one entry per
-// worker with a per-stripe cache breakdown — the observability
-// surface the load harness scrapes. A twserve process serves one
-// service, so its fleet is the single worker 0.
+// TestStatsEndpointReportsFleet: /v1/stats carries the process's one
+// service's counters — the observability surface the load harness
+// scrapes — with no cluster rollup and no per-backend breakdown.
 func TestStatsEndpointReportsFleet(t *testing.T) {
 	srv := newTestServer(t)
 	// Warm a few specs so the counters are non-trivial.
@@ -242,11 +241,11 @@ func TestStatsEndpointReportsFleet(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	rep := decode[api.StatsReport](t, resp)
-	if rep.Version != api.Version || len(rep.Workers) != 1 || rep.Workers[0].Worker != 0 {
-		t.Fatalf("single-worker stats = version %q, %+v", rep.Version, rep.Workers)
+	if rep.Version != api.Version || rep.Cluster != nil {
+		t.Fatalf("single-service stats = version %q, cluster %+v", rep.Version, rep.Cluster)
 	}
-	if w := rep.Workers[0]; len(w.Cache.Shards) == 0 || w.Cache.Len != 3 {
-		t.Errorf("worker 0: %d shards holding %d cached runs, want a breakdown holding 3", len(w.Cache.Shards), w.Cache.Len)
+	if rep.Cache.Len != 3 || len(rep.Cache.Shards) != 0 {
+		t.Errorf("cache holds %d cached runs with %d shards, want 3 and no breakdown", rep.Cache.Len, len(rep.Cache.Shards))
 	}
 }
 

@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"testing"
 )
@@ -67,45 +66,6 @@ func BenchmarkGenerateCold300(b *testing.B) { benchCold300(b) }
 // arena disabled: the pre-PR 7 allocation behaviour, kept runnable so
 // the pooled/unpooled gap stays measurable on any machine.
 func BenchmarkGenerateCold300Unpooled(b *testing.B) { benchCold300(b, WithoutPooling()) }
-
-// benchCacheParallelGet measures the warm lookup path under
-// contention: many goroutines hammering Get on one cache built with
-// the given stripe count. shards=1 is the old single-mutex cache —
-// every lookup serialized behind one lock even though a hit only
-// reads a map entry and bumps a recency pointer. The sharded
-// variants let lookups on different stripes proceed concurrently;
-// the delta between shards=1 and shards=32 is the contention the
-// single mutex was costing. SetParallelism inflates the goroutine
-// count well past GOMAXPROCS so the convoy effect is visible even on
-// small runners.
-func benchCacheParallelGet(b *testing.B, shards int) {
-	c := newShardedCache(4096, shards)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("%s|gen|spec=bench-%d|n=200|seed=%d", Version, i, i)
-		c.Put(keys[i], i)
-	}
-	b.ReportAllocs()
-	b.SetParallelism(16)
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, ok := c.Get(keys[i&1023]); !ok {
-				b.Error("primed key missed")
-				return
-			}
-			i += 7 // stride so neighbours land on different stripes
-		}
-	})
-}
-
-func BenchmarkCacheParallelGet(b *testing.B) {
-	for _, shards := range []int{1, 4, 32} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchCacheParallelGet(b, shards)
-		})
-	}
-}
 
 // BenchmarkGenerateCacheHit measures the classroom hot path: one
 // service, primed once, then repeated identical requests.

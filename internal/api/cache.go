@@ -17,10 +17,9 @@ type CacheStats struct {
 	// Len and Capacity describe the current occupancy.
 	Len      int `json:"len"`
 	Capacity int `json:"capacity"`
-	// Shards, when the cache is lock-striped, breaks the aggregate
-	// down per shard (each entry's counters cover one stripe; the
-	// top-level counters are their sums). Empty for a flat cache and
-	// for the entries themselves.
+	// Shards is a cluster proxy's per-backend breakdown (one entry
+	// per backend, in ring order; the top-level counters are the live
+	// backends' sums). A single service omits it.
 	Shards []CacheStats `json:"shards,omitempty"`
 }
 

@@ -1,6 +1,11 @@
 package api
 
-import "testing"
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+)
 
 func TestLRUCacheHitMissCounters(t *testing.T) {
 	c := newLRUCache(4)
@@ -63,5 +68,59 @@ func TestLRUCacheZeroCapacityDisables(t *testing.T) {
 	}
 	if st := c.stats(); st.Len != 0 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want len=0 misses=1", st)
+	}
+}
+
+// TestCacheConcurrentMixed hammers one cache from many
+// goroutines under -race: correctness is "no race, no lost own
+// writes within a goroutine's private key space".
+func TestCacheConcurrentMixed(t *testing.T) {
+	c := newLRUCache(1024)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("g%d-%d", g, i%8)
+				c.put(key, i)
+				if _, ok := c.get(key); !ok {
+					t.Errorf("goroutine %d lost its own fresh write %s", g, key)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.stats(); st.Len == 0 || st.Len > 1024 {
+		t.Errorf("post-churn len = %d, want within (0, 1024]", st.Len)
+	}
+}
+
+// TestDefaultCacheHoldsItsCapacity: a default service keeps
+// DefaultCacheCapacity distinct results. The cache is one LRU, so no
+// part of it fills before the whole does.
+func TestDefaultCacheHoldsItsCapacity(t *testing.T) {
+	svc := New()
+	ctx := context.Background()
+	req := func(seed int) GenerateRequest {
+		return GenerateRequest{Spec: "scan", Seed: int64(seed), Hosts: 10, Duration: 2, Workers: 1}
+	}
+	for seed := 0; seed < DefaultCacheCapacity; seed++ {
+		if _, err := svc.Generate(ctx, req(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := 0; seed < DefaultCacheCapacity; seed++ {
+		res, err := svc.Generate(ctx, req(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit {
+			t.Errorf("seed %d missed on the second pass", seed)
+		}
+	}
+	if st := svc.CacheStats(); st.Evictions != 0 || st.Len != DefaultCacheCapacity {
+		t.Errorf("stats = %+v, want 0 evictions and len %d", st, DefaultCacheCapacity)
 	}
 }

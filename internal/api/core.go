@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bridge"
 	"repro/internal/core"
+	"repro/internal/matrix"
 	"repro/internal/netsim"
 )
 
@@ -34,62 +35,68 @@ type Core interface {
 
 var _ Core = (*Service)(nil)
 
-// WorkerStats is one worker's slice of a StatsReport: its cache
-// counters (with the per-shard breakdown), its in-flight session
-// count, and its arena pool counters.
-type WorkerStats struct {
-	Worker   int               `json:"worker"`
+// ServiceStats is one service's counters: its result cache, its
+// in-flight session count, and its arena pool. A cluster proxy sums
+// them over its live backends.
+type ServiceStats struct {
 	Cache    CacheStats        `json:"cache"`
 	Sessions int               `json:"sessions"`
 	Arena    netsim.ArenaStats `json:"arena"`
-	// Backend names the twserve process the worker lives in when the
-	// report was aggregated by a cluster proxy; empty in-process.
-	Backend string `json:"backend,omitempty"`
 }
 
-// BackendStats is one backend process's summary inside a cluster
-// proxy's StatsReport: its base URL, how many in-process workers it
-// fronts, its fleet-aggregate cache counters, and its in-flight
-// session count. A backend that failed its stats probe reports the
-// error instead (its counters zero) — the cluster report stays
-// servable when one member is down.
+// Add sums o's counters into s.
+func (s *ServiceStats) Add(o ServiceStats) {
+	s.Cache.Hits += o.Cache.Hits
+	s.Cache.Misses += o.Cache.Misses
+	s.Cache.Evictions += o.Cache.Evictions
+	s.Cache.Len += o.Cache.Len
+	s.Cache.Capacity += o.Cache.Capacity
+	s.Sessions += o.Sessions
+	addPool(&s.Arena.Entries, o.Arena.Entries)
+	addPool(&s.Arena.Events, o.Arena.Events)
+}
+
+func addPool(p *matrix.PoolStats, o matrix.PoolStats) {
+	p.Gets += o.Gets
+	p.Hits += o.Hits
+	p.Puts += o.Puts
+	p.Drops += o.Drops
+	p.Retained += o.Retained
+	p.Slabs += o.Slabs
+}
+
+// BackendStats is one backend process's entry inside a cluster
+// proxy's StatsReport: its base URL and its own counters. A backend
+// that failed its stats probe reports the error instead (its counters
+// zero) — the cluster report stays servable when one member is down.
 type BackendStats struct {
-	Backend  string     `json:"backend"`
-	Workers  int        `json:"workers"`
-	Cache    CacheStats `json:"cache"`
-	Sessions int        `json:"sessions"`
-	Error    string     `json:"error,omitempty"`
+	Backend string `json:"backend"`
+	ServiceStats
+	Error string `json:"error,omitempty"`
 }
 
-// ClusterStats is the proxy-mode extension of a StatsReport: the
-// per-backend summaries plus cluster totals, so one scrape of the
-// proxy's /v1/stats sees the whole topology instead of only the
-// proxy's own (stateless) process.
+// ClusterStats is the proxy-mode extension of a StatsReport: one
+// entry per backend, so one scrape of the proxy's /v1/stats sees the
+// whole topology instead of only the proxy's own (stateless)
+// process.
 type ClusterStats struct {
 	Backends []BackendStats `json:"backends"`
-	// Totals sums every live backend's cache counters; Sessions sums
-	// their in-flight counts.
-	Totals   CacheStats `json:"totals"`
-	Sessions int        `json:"sessions"`
 }
 
-// StatsReport is the /v1/stats payload: per-worker, per-shard
-// observability for a served deployment. A single service reports
-// one worker; a cluster proxy reports every backend's workers
-// (renumbered fleet-wide, each tagged with its backend URL) plus the
-// Cluster rollup.
+// StatsReport is the /v1/stats payload. A single service reports its
+// own counters; a cluster proxy reports the sums over its live
+// backends plus the per-backend entries under Cluster.
 type StatsReport struct {
-	Version string        `json:"version"`
-	Workers []WorkerStats `json:"workers"`
+	Version string `json:"version"`
+	ServiceStats
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
-// Stats reports this service as a one-worker fleet.
+// Stats reports this service's counters.
 func (svc *Service) Stats() StatsReport {
-	return StatsReport{Version: Version, Workers: []WorkerStats{{
-		Worker:   0,
+	return StatsReport{Version: Version, ServiceStats: ServiceStats{
 		Cache:    svc.CacheStats(),
 		Sessions: svc.SessionCount(),
 		Arena:    svc.ArenaStats(),
-	}}}
+	}}
 }

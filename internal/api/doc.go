@@ -33,20 +33,21 @@
 //
 //   - Observable: a concurrent session registry tracks in-flight
 //     requests (Sessions, CancelSession), CacheStats exposes
-//     hit/miss/eviction counters with a per-stripe breakdown, and
-//     Stats reports the full worker view (StatsReport).
+//     hit/miss/eviction counters, and Stats reports the cache,
+//     session and arena counters together (StatsReport).
 //
 //   - Versioned: Version names the wire contract; twserve mounts
 //     every route under it ("/v1/generate", …), and results carry it
 //     so stored documents are self-describing.
 //
 // Internally the cache, the session registry, and the singleflight
-// group are lock-striped (see sharded.go): a key's stripe is a pure
-// function of its avalanche-finalized hash, so concurrent requests
-// contend only on stripe collisions, never on one global mutex. The
-// Core interface names the full serving surface; internal/cluster
-// fronts N twserve processes with a consistent spec-hash ring behind
-// the same interface, which is how `twserve -proxy` scales out.
+// group each sit behind one mutex. A lookup holds it only for a map
+// read and a recency bump, and one LRU keeps the whole capacity for
+// whichever keys are hot (DESIGN.md, "Service core", has the
+// measurement). The Core interface names the full serving surface;
+// internal/cluster fronts N twserve processes with a consistent
+// spec-hash ring behind the same interface, which is how
+// `twserve -proxy` scales out.
 // RouteKey on each request type exposes the canonical routing
 // identity.
 package api

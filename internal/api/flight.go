@@ -11,9 +11,11 @@ import (
 // posting the same assigned spec inside one generation's runtime —
 // runs one generation, and everyone else waits for that result. A
 // stdlib-only stand-in for x/sync/singleflight with one twist: a
-// leader cancelled by its own caller must not fail the herd, so a
-// waiter whose own context is still live retries and elects a new
-// leader instead of inheriting the cancellation.
+// leader cancelled by its own caller — a hangup or the caller's own
+// deadline — must not fail the herd, so a waiter whose own context is
+// still live retries and elects a new leader instead of inheriting
+// the cancellation. One mutex guards the whole table; the zero value
+// is ready to use.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -48,9 +50,9 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 			case <-ctx.Done():
 				return nil, false, ctx.Err()
 			}
-			if c.err != nil && errors.Is(c.err, context.Canceled) {
-				// The leader's caller hung up, not ours: take the
-				// lead ourselves.
+			if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
+				// The leader's caller hung up or ran out of time,
+				// not ours: take the lead ourselves.
 				continue
 			}
 			return c.res, true, c.err

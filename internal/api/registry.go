@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -37,121 +36,78 @@ type session struct {
 	cancel context.CancelCauseFunc
 }
 
-// SessionStore tracks in-flight work. Every service call passes
-// through Begin (and the end func it returns), so a snapshot at any
-// moment names exactly the requests currently holding worker pools.
-// Implementations must be safe for concurrent use.
-type SessionStore interface {
-	// Begin registers an in-flight request and returns a context
-	// derived from ctx whose cancellation is additionally reachable
-	// through CancelByID, plus the end func that deregisters the
-	// session and releases its context resources (idempotent).
-	Begin(ctx context.Context, kind, key string) (context.Context, func())
-	// Snapshot returns the in-flight sessions ordered by ID.
-	Snapshot() []SessionInfo
-	// CancelByID cancels the identified session's context with
-	// ErrSessionCancelled as the cause, reporting whether it was in
-	// flight.
-	CancelByID(id int64) bool
-	// Len counts the in-flight sessions.
-	Len() int
-}
-
-// sessionShard is one stripe of the session table: a mutex and the
-// slice of active sessions whose IDs hash here.
-type sessionShard struct {
+// sessionStore tracks in-flight work: one mutex over one map. Every
+// service call passes through Begin (and the end func it returns),
+// so a snapshot at any moment names exactly the requests currently
+// running. Safe for concurrent use.
+type sessionStore struct {
 	mu     sync.Mutex
+	lastID int64
 	active map[int64]*session
 }
 
-// sessionStore is the lock-striped SessionStore. IDs come from the
-// store's own atomic counter, and a session lives on the stripe its
-// ID masks to, so CancelByID goes straight to one stripe without
-// scanning.
-type sessionStore struct {
-	ids    atomic.Int64
-	shards []*sessionShard
-	mask   uint64
-}
-
-// newSessionStore builds a store striped over nshards (rounded up to
-// a power of two).
-func newSessionStore(nshards int) *sessionStore {
-	n := nextPow2(max(1, nshards))
-	r := &sessionStore{shards: make([]*sessionShard, n), mask: uint64(n - 1)}
-	for i := range r.shards {
-		r.shards[i] = &sessionShard{active: make(map[int64]*session)}
-	}
-	return r
+func newSessionStore() *sessionStore {
+	return &sessionStore{active: make(map[int64]*session)}
 }
 
 // Begin registers an in-flight request and returns a context derived
 // from ctx whose cancellation is additionally reachable through
 // CancelByID — the hook that lets an operator abort a runaway
-// generation — plus the idempotent end func.
+// generation — plus the end func that deregisters the session and
+// releases its context resources (idempotent).
 func (r *sessionStore) Begin(ctx context.Context, kind, key string) (context.Context, func()) {
 	ctx, cancel := context.WithCancelCause(ctx)
-	id := r.ids.Add(1)
-	s := &session{
+	r.mu.Lock()
+	r.lastID++
+	id := r.lastID
+	r.active[id] = &session{
 		info:   SessionInfo{ID: id, Kind: kind, Key: key, Started: time.Now()},
 		cancel: cancel,
 	}
-	sh := r.shards[uint64(id)&r.mask]
-	sh.mu.Lock()
-	sh.active[id] = s
-	sh.mu.Unlock()
+	r.mu.Unlock()
 	var once sync.Once
 	end := func() {
 		once.Do(func() {
-			sh.mu.Lock()
-			delete(sh.active, id)
-			sh.mu.Unlock()
+			r.mu.Lock()
+			delete(r.active, id)
+			r.mu.Unlock()
 			cancel(nil)
 		})
 	}
 	return ctx, end
 }
 
-// Snapshot returns the in-flight sessions ordered by ID — the merge
-// across stripes sorts, so /v1/sessions output is stable no matter
-// which stripe each session landed on.
+// Snapshot returns the in-flight sessions ordered by ID, so
+// /v1/sessions output is stable despite map iteration order.
 func (r *sessionStore) Snapshot() []SessionInfo {
 	var out []SessionInfo
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, s := range sh.active {
-			out = append(out, s.info)
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	for _, s := range r.active {
+		out = append(out, s.info)
 	}
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // CancelByID cancels the identified session's context with
 // ErrSessionCancelled as the cause, reporting whether it was in
-// flight. The ID's stripe is a pure function of the ID, so this is
-// one lock, not a scan.
+// flight.
 func (r *sessionStore) CancelByID(id int64) bool {
-	sh := r.shards[uint64(id)&r.mask]
-	sh.mu.Lock()
-	s, ok := sh.active[id]
-	sh.mu.Unlock()
+	r.mu.Lock()
+	s, ok := r.active[id]
+	r.mu.Unlock()
 	if ok {
 		s.cancel(ErrSessionCancelled)
 	}
 	return ok
 }
 
-// Len counts the in-flight sessions across all stripes.
+// Len counts the in-flight sessions.
 func (r *sessionStore) Len() int {
-	n := 0
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		n += len(sh.active)
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.active)
 }
 
 // sessionErr rewrites a cancellation that an operator caused into

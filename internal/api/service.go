@@ -26,11 +26,10 @@ const DefaultCacheCapacity = 64
 // use.
 type Service struct {
 	cacheCap  int
-	shards    int
 	noPooling bool
-	cache     *shardedCache
-	sessions  SessionStore
-	flights   *shardedFlights
+	cache     *lruCache
+	sessions  *sessionStore
+	flights   flightGroup
 	// players is the account layer (see internal/player): mutable
 	// per-user state served beside — never through — the result
 	// cache.
@@ -59,25 +58,14 @@ func WithCacheCapacity(n int) Option { return func(s *Service) { s.cacheCap = n 
 // reference side of the pooling parity suite.
 func WithoutPooling() Option { return func(s *Service) { s.noPooling = true } }
 
-// WithShards sets the lock-stripe count for the result cache, the
-// session store, and the singleflight group (rounded up to a power
-// of two). n ≤ 0 selects DefaultShards. Sharding never changes
-// results — WithShards(1) is the single-mutex reference behaviour
-// the parity suite compares against.
-func WithShards(n int) Option { return func(s *Service) { s.shards = n } }
-
 // New builds a Service with the given options.
 func New(opts ...Option) *Service {
 	s := &Service{cacheCap: DefaultCacheCapacity}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.shards <= 0 {
-		s.shards = DefaultShards()
-	}
-	s.cache = newShardedCache(s.cacheCap, s.shards)
-	s.sessions = newSessionStore(s.shards)
-	s.flights = newShardedFlights(s.shards)
+	s.cache = newLRUCache(s.cacheCap)
+	s.sessions = newSessionStore()
 	if !s.noPooling {
 		s.arena = netsim.NewArena()
 	}
@@ -87,9 +75,8 @@ func New(opts ...Option) *Service {
 	return s
 }
 
-// CacheStats snapshots the result cache counters (with the
-// per-shard breakdown).
-func (svc *Service) CacheStats() CacheStats { return svc.cache.Stats() }
+// CacheStats snapshots the result cache counters.
+func (svc *Service) CacheStats() CacheStats { return svc.cache.stats() }
 
 // ArenaStats snapshots the buffer arena's pool counters (zero when
 // pooling is disabled).
@@ -155,7 +142,7 @@ func (svc *Service) cachedGenerate(ctx context.Context, req GenerateRequest) (re
 	}
 	canonical := netsim.SpecString(scn)
 	key := req.cacheKey(canonical, netsim.ScaledSize(req.Hosts))
-	if v, ok := svc.cache.Get(key); ok {
+	if v, ok := svc.cache.get(key); ok {
 		return v.(*GenerateResult), true, nil
 	}
 	v, shared, err := svc.flights.do(ctx, key, func() (any, error) {
@@ -166,7 +153,7 @@ func (svc *Service) cachedGenerate(ctx context.Context, req GenerateRequest) (re
 			return nil, sessionErr(fctx, err)
 		}
 		r.hits = new(hitBodies)
-		svc.cache.Put(key, r)
+		svc.cache.put(key, r)
 		return r, nil
 	})
 	if err != nil {
@@ -516,7 +503,7 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 	}
 	p := netsim.Params{Duration: req.Duration, Rate: req.Rate, Scale: req.Scale}
 	key := paramsKey("module", netsim.SpecString(scn), netsim.ScaledSize(req.Hosts), req.Seed, p)
-	if v, ok := svc.cache.Get(key); ok {
+	if v, ok := svc.cache.get(key); ok {
 		return v.(*core.Module), nil
 	}
 	m, _, err := svc.flights.do(ctx, key, func() (any, error) {
@@ -526,7 +513,7 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}
-		svc.cache.Put(key, m)
+		svc.cache.put(key, m)
 		return m, nil
 	})
 	if err != nil {
@@ -554,7 +541,7 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 	p := netsim.Params{Duration: req.Duration, Rate: req.Rate, Scale: req.Scale}
 	key := paramsKey("campaign", netsim.SpecString(scn), netsim.ScaledSize(req.Hosts), req.Seed, p) +
 		fmt.Sprintf("|win=%g", req.Window)
-	if v, ok := svc.cache.Get(key); ok {
+	if v, ok := svc.cache.get(key); ok {
 		return v.(*bridge.Campaign), nil
 	}
 	c, _, err := svc.flights.do(ctx, key, func() (any, error) {
@@ -564,7 +551,7 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}
-		svc.cache.Put(key, c)
+		svc.cache.put(key, c)
 		return c, nil
 	})
 	if err != nil {

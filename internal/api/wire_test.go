@@ -174,7 +174,7 @@ func TestMissHoldsNoBody(t *testing.T) {
 	if miss.CacheHit || miss.self != nil || miss.body != nil {
 		t.Fatal("miss view carries a stored body")
 	}
-	v, ok := svc.cache.Get(req.RouteKey())
+	v, ok := svc.cache.get(req.RouteKey())
 	if !ok {
 		t.Fatal("miss did not enter the cache")
 	}

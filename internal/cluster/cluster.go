@@ -366,11 +366,12 @@ func (c *Cluster) CancelSession(id int64) bool {
 	return false
 }
 
-// CacheStats is the cache view of Stats: the cluster totals, with one
-// Shards entry per backend holding that backend's own aggregate.
+// CacheStats is the cache view of Stats: the live backends' summed
+// counters, with one Shards entry per backend holding that backend's
+// own counters.
 func (c *Cluster) CacheStats() api.CacheStats {
 	rep := c.Stats()
-	agg := rep.Cluster.Totals
+	agg := rep.Cache
 	agg.Shards = make([]api.CacheStats, len(rep.Cluster.Backends))
 	for i, b := range rep.Cluster.Backends {
 		agg.Shards[i] = b.Cache
@@ -378,11 +379,10 @@ func (c *Cluster) CacheStats() api.CacheStats {
 	return agg
 }
 
-// Stats aggregates /v1/stats across the backends: every backend's
-// workers appear (renumbered fleet-wide, tagged with their backend
-// URL, per-stripe detail intact) plus the per-backend rollup and
-// cluster totals under Cluster. A failed probe reports its error in
-// its BackendStats entry rather than failing the whole report.
+// Stats aggregates /v1/stats across the backends: the top-level
+// counters are the live backends' sums, and Cluster lists each
+// backend's own. A failed probe reports its error in its BackendStats
+// entry rather than failing the whole report.
 func (c *Cluster) Stats() api.StatsReport {
 	members, reps, errs := fanOut[api.StatsReport](context.TODO(), c, http.MethodGet, "/v1/stats", true)
 	rep := api.StatsReport{Version: api.Version, Cluster: &api.ClusterStats{}}
@@ -390,29 +390,11 @@ func (c *Cluster) Stats() api.StatsReport {
 		bs := api.BackendStats{Backend: t.base}
 		if errs[i] != nil {
 			bs.Error = errs[i].Error()
-			rep.Cluster.Backends = append(rep.Cluster.Backends, bs)
-			continue
-		}
-		bs.Workers = len(reps[i].Workers)
-		for _, ws := range reps[i].Workers {
-			ws.Worker = len(rep.Workers)
-			ws.Backend = t.base
-			rep.Workers = append(rep.Workers, ws)
-
-			bs.Sessions += ws.Sessions
-			bs.Cache.Hits += ws.Cache.Hits
-			bs.Cache.Misses += ws.Cache.Misses
-			bs.Cache.Evictions += ws.Cache.Evictions
-			bs.Cache.Len += ws.Cache.Len
-			bs.Cache.Capacity += ws.Cache.Capacity
+		} else {
+			bs.ServiceStats = reps[i].ServiceStats
+			rep.Add(bs.ServiceStats)
 		}
 		rep.Cluster.Backends = append(rep.Cluster.Backends, bs)
-		rep.Cluster.Sessions += bs.Sessions
-		rep.Cluster.Totals.Hits += bs.Cache.Hits
-		rep.Cluster.Totals.Misses += bs.Cache.Misses
-		rep.Cluster.Totals.Evictions += bs.Cache.Evictions
-		rep.Cluster.Totals.Len += bs.Cache.Len
-		rep.Cluster.Totals.Capacity += bs.Cache.Capacity
 	}
 	return rep
 }

@@ -318,10 +318,9 @@ func TestRemoveBackendDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestClusterStatsAggregation is the stats satellite: the proxy's
-// /v1/stats reports every backend's workers (renumbered, tagged,
-// stripe detail intact) plus per-backend rollups and cluster totals
-// — not the proxy's own empty state.
+// TestClusterStatsAggregation: the proxy's /v1/stats reports the
+// live backends' summed counters plus one entry per backend — not the
+// proxy's own empty state.
 func TestClusterStatsAggregation(t *testing.T) {
 	f := newFixture(t, 2)
 
@@ -355,40 +354,25 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if len(rep.Cluster.Backends) != 2 {
 		t.Fatalf("cluster rollup lists %d backends, want 2", len(rep.Cluster.Backends))
 	}
-	if len(rep.Workers) == 0 {
-		t.Fatal("proxy stats flatten no backend workers")
-	}
-	byBackend := map[string]int{}
-	totalLen := 0
-	for i, w := range rep.Workers {
-		if w.Worker != i {
-			t.Errorf("flattened worker %d labeled %d", i, w.Worker)
-		}
-		if w.Backend == "" {
-			t.Errorf("flattened worker %d carries no backend tag", i)
-		}
-		if len(w.Cache.Shards) == 0 {
-			t.Errorf("flattened worker %d lost its per-stripe breakdown", i)
-		}
-		byBackend[w.Backend]++
-		totalLen += w.Cache.Len
-	}
-	if len(byBackend) != 2 {
-		t.Errorf("flattened workers span %d backends, want 2", len(byBackend))
-	}
-	if totalLen != cached {
-		t.Errorf("flattened workers hold %d cached runs, want %d", totalLen, cached)
-	}
-	if rep.Cluster.Totals.Len != cached {
-		t.Errorf("cluster totals hold %d cached runs, want %d", rep.Cluster.Totals.Len, cached)
-	}
+	totalLen, totalMisses := 0, uint64(0)
 	for _, b := range rep.Cluster.Backends {
 		if b.Error != "" {
 			t.Errorf("backend %s reported a probe error: %s", b.Backend, b.Error)
 		}
-		if b.Workers == 0 {
-			t.Errorf("backend %s rollup reports zero workers", b.Backend)
+		if b.Backend == "" {
+			t.Error("backend entry carries no backend URL")
 		}
+		if b.Cache.Len == 0 {
+			t.Errorf("backend %s holds no cached runs; the ring sent it nothing", b.Backend)
+		}
+		totalLen += b.Cache.Len
+		totalMisses += b.Cache.Misses
+	}
+	if totalLen != cached {
+		t.Errorf("backends hold %d cached runs, want %d", totalLen, cached)
+	}
+	if rep.Cache.Len != cached || rep.Cache.Misses != totalMisses {
+		t.Errorf("cluster totals = len %d misses %d, want %d and %d", rep.Cache.Len, rep.Cache.Misses, cached, totalMisses)
 	}
 
 	// The fleet-aggregate cache view composes the same way.
@@ -408,14 +392,19 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if rep2.Cluster == nil || len(rep2.Cluster.Backends) != 2 {
 		t.Fatal("stats with a dead backend lost the rollup")
 	}
-	dead := 0
+	dead, liveLen := 0, 0
 	for _, b := range rep2.Cluster.Backends {
 		if b.Error != "" {
 			dead++
+		} else {
+			liveLen += b.Cache.Len
 		}
 	}
 	if dead != 1 {
 		t.Errorf("%d backends report probe errors, want 1", dead)
+	}
+	if rep2.Cache.Len != liveLen {
+		t.Errorf("totals with a dead backend hold %d cached runs, want the live backend's %d", rep2.Cache.Len, liveLen)
 	}
 }
 

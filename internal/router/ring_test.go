@@ -75,7 +75,7 @@ func TestRingPickDeterministic(t *testing.T) {
 }
 
 // TestRingSingleWorkerOwnsEverything: a 1-worker ring is the
-// degenerate identity the single-vs-sharded parity suite leans on.
+// degenerate identity a one-backend proxy leans on.
 func TestRingSingleWorkerOwnsEverything(t *testing.T) {
 	r := NewRing(1)
 	for _, key := range testKeys(100) {
@@ -173,6 +173,42 @@ func TestRingRemoveRestoresAssignments(t *testing.T) {
 	for i, key := range keys {
 		if w := mustPick(t, r, key); w != owners[i] {
 			t.Fatalf("key %q owner %d not restored after re-add (got %d)", key, owners[i], w)
+		}
+	}
+}
+
+// TestKeyHashDispersesRealKeys pins the avalanche finalizer: raw
+// FNV-1a left every odd one of 32 low-bit buckets empty on real
+// structured cache keys. Over 1024 gen-shaped keys and 32 buckets
+// (mean 32/bucket), every bucket must see traffic and none may take
+// more than 3× the mean.
+func TestKeyHashDispersesRealKeys(t *testing.T) {
+	counts := make([]int, 32)
+	for i := 0; i < 1024; i++ {
+		key := fmt.Sprintf("v1|gen|spec=bench-%d|n=200|seed=%d|dur=40|rate=8|scale=4|win=10", i, i)
+		counts[keyHash(key)&31]++
+	}
+	for bucket, n := range counts {
+		if n == 0 {
+			t.Errorf("bucket %d got no keys (low-bit clustering is back)", bucket)
+		}
+		if n > 96 {
+			t.Errorf("bucket %d got %d of 1024 keys (mean 32)", bucket, n)
+		}
+	}
+}
+
+// TestKeyHashUnchanged pins the hash bit for bit: every ring position
+// is a keyHash, so a different value would move keys between
+// backends.
+func TestKeyHashUnchanged(t *testing.T) {
+	for key, want := range map[string]uint64{
+		"":                 0xefd01f60ba992926,
+		"worker/0/vnode/0": 0x9d0874fc7420d91c,
+		"v1|gen|spec=scan|n=200|seed=1|dur=40|rate=8|scale=4|win=10": 0xe83b27984e97a05,
+	} {
+		if got := keyHash(key); got != want {
+			t.Errorf("keyHash(%q) = %#x, want %#x", key, got, want)
 		}
 	}
 }

@@ -21,7 +21,7 @@
 //	GET    /v1/sessions         in-flight work (merged across backends)
 //	DELETE /v1/sessions/{id}    cancel one in-flight run
 //	GET    /v1/cache            result-cache counters (fleet aggregate)
-//	GET    /v1/stats            per-worker, per-shard counters
+//	GET    /v1/stats            cache, session and arena counters (per backend too)
 //
 // Player errors map onto statuses through the package's sentinels: an
 // unknown player or unit is 404, a duplicate create / replayed attempt
