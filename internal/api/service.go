@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/bridge"
@@ -302,11 +303,17 @@ func runHeader(scn netsim.Scenario, p netsim.Params) (schedule []Phase, composed
 	return schedule, composedOf
 }
 
+// windowSummaries recycles the per-window summary's storage: a
+// window's readings are scalars copied out of its summary, so the
+// summary is free again as soon as windowResult returns.
+var windowSummaries = sync.Pool{New: func() any { return new(patterns.Summary) }}
+
 // windowResult builds one interval's WindowResult with its
-// classifier readings. It is the single construction point shared by
-// the batch per-window view and the streaming path, which is what
-// guarantees a streamed window frame carries exactly the readings
-// the batch result would for the same window.
+// classifier readings, all read off one summary of the window. It is
+// the single construction point shared by the batch per-window view
+// and the streaming path, which is what guarantees a streamed window
+// frame carries exactly the readings the batch result would for the
+// same window.
 func windowResult(k int, w netsim.SparseWindow, zones patterns.Zones, roles patterns.DDoSRoles, rolesErr error, labels []string) WindowResult {
 	wr := WindowResult{
 		Index: k, Start: w.Start, End: w.End,
@@ -314,13 +321,19 @@ func windowResult(k int, w netsim.SparseWindow, zones patterns.Zones, roles patt
 		Dropped: w.Dropped, Matrix: w.Matrix,
 	}
 	if wr.NNZ > 0 {
-		stage, conf := patterns.ClassifyAttackStageOf(w.Matrix, zones)
+		cast := &roles
+		if rolesErr != nil {
+			cast = nil
+		}
+		s := windowSummaries.Get().(*patterns.Summary).Summarize(w.Matrix, zones, cast)
+		defer windowSummaries.Put(s)
+		stage, conf := s.AttackStage()
 		wr.AttackStage = &Reading{Label: stage.String(), Confidence: conf}
-		if rolesErr == nil {
-			comp, dconf := patterns.ClassifyDDoSOf(w.Matrix, roles)
+		if cast != nil {
+			comp, dconf := s.DDoS()
 			wr.DDoS = &Reading{Label: comp.String(), Confidence: dconf}
 		}
-		if hubs := matrix.SupernodesOf(w.Matrix, patterns.SupernodeFanThreshold); len(hubs) > 0 {
+		if hubs := s.Supernodes(patterns.SupernodeFanThreshold); len(hubs) > 0 {
 			h := hubs[0]
 			wr.Hub = &Hub{Host: labels[h.Index], Direction: h.Direction, Fan: h.Fan, Packets: h.Packets}
 		}
@@ -328,26 +341,31 @@ func windowResult(k int, w netsim.SparseWindow, zones patterns.Zones, roles patt
 	return wr
 }
 
-// analyzeMatrix runs every classifier over a matrix through the
-// read-only accessor interface.
+// analyzeMatrix runs every aggregate classifier over one summary of
+// m.
 func analyzeMatrix(m matrix.Matrix, zones patterns.Zones) Aggregate {
-	agg := Aggregate{Profile: profileResult(matrix.ProfileOf(m))}
-	if b, conf := patterns.ClassifyBehaviorOf(m, zones); b != patterns.BehaviorUnknown {
+	return aggregateOf(new(patterns.Summary).Summarize(m, zones, nil))
+}
+
+// aggregateOf reads the aggregate block off a summary.
+func aggregateOf(s *patterns.Summary) Aggregate {
+	agg := Aggregate{Profile: profileResult(s.Profile)}
+	if b, conf := s.Behavior(); b != patterns.BehaviorUnknown {
 		agg.Behavior = &Reading{Label: b.String(), Confidence: conf}
 	}
-	agg.Topology = patterns.ClassifyTopologyOf(m, zones).String()
-	stage, sconf := patterns.ClassifyAttackStageOf(m, zones)
+	agg.Topology = s.Topology().String()
+	stage, sconf := s.AttackStage()
 	agg.Attack = Reading{Label: stage.String(), Confidence: sconf}
-	for _, c := range patterns.ClassifyMixtureOf(m, zones) {
+	for _, c := range s.Mixture() {
 		agg.Mixture = append(agg.Mixture, Reading{Label: c.Label, Confidence: c.Score})
 	}
 	return agg
 }
 
-// supernodeHubs converts the supernode list to wire form.
-func supernodeHubs(m matrix.Matrix, labels []string) []Hub {
+// supernodeHubs converts a summary's supernode list to wire form.
+func supernodeHubs(s *matrix.Summary, labels []string) []Hub {
 	var out []Hub
-	for _, h := range matrix.SupernodesOf(m, patterns.SupernodeFanThreshold) {
+	for _, h := range s.Supernodes(patterns.SupernodeFanThreshold) {
 		out = append(out, Hub{Host: labels[h.Index], Direction: h.Direction, Fan: h.Fan, Packets: h.Packets})
 	}
 	return out
@@ -373,7 +391,7 @@ func (svc *Service) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 		res := &AnalyzeResult{
 			Version: Version, Source: "spec", Spec: gres.Spec, Hosts: gres.Hosts,
 			Aggregate:  copyAggregate(gres.Aggregate),
-			Supernodes: supernodeHubs(gres.AggregateCSR, gres.Labels),
+			Supernodes: supernodeHubs(new(matrix.Summary).Summarize(gres.AggregateCSR, nil), gres.Labels),
 			CacheHit:   hit,
 		}
 		if hit && gres.hits != nil {
@@ -407,11 +425,11 @@ func (svc *Service) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 	if err != nil {
 		return nil, err
 	}
-	labels := matrixLabels(dense.Rows())
+	sum := new(patterns.Summary).Summarize(dense, zones, nil)
 	res := &AnalyzeResult{
 		Version: Version, Source: "matrix", Hosts: dense.Rows(),
-		Aggregate:  analyzeMatrix(dense, zones),
-		Supernodes: supernodeHubs(dense, labels),
+		Aggregate:  aggregateOf(sum),
+		Supernodes: supernodeHubs(&sum.Summary, matrixLabels(dense.Rows())),
 	}
 	// The classification is synchronous and quick, so cancellation
 	// is honored at call granularity: a cancelled session (or

@@ -54,15 +54,6 @@ func TestAnalysisParityDenseVsCSR(t *testing.T) {
 			if got, want := SupernodesOf(c, 3), SupernodesOf(d, 3); !reflect.DeepEqual(got, want) {
 				t.Errorf("SupernodesOf: CSR %v != Dense %v", got, want)
 			}
-			if got, want := IsolatedPairsOf(c), IsolatedPairsOf(d); !reflect.DeepEqual(got, want) {
-				t.Errorf("IsolatedPairsOf: CSR %v != Dense %v", got, want)
-			}
-			if got, want := DegreeHistogramOf(c), DegreeHistogramOf(d); !reflect.DeepEqual(got, want) {
-				t.Errorf("DegreeHistogramOf: CSR %v != Dense %v", got, want)
-			}
-			if got, want := TopLinksOf(c, 10), TopLinksOf(d, 10); !reflect.DeepEqual(got, want) {
-				t.Errorf("TopLinksOf: CSR %v != Dense %v", got, want)
-			}
 		})
 	}
 }
@@ -96,31 +87,6 @@ func TestProfileOfNonSquare(t *testing.T) {
 	for _, m := range []Matrix{d, c} {
 		if p := ProfileOf(m); p.N != -1 {
 			t.Errorf("non-square profile N = %d, want -1", p.N)
-		}
-		if IsolatedPairsOf(m) != nil {
-			t.Error("non-square IsolatedPairsOf should be nil")
-		}
-		if DegreeHistogramOf(m) != nil {
-			t.Error("non-square DegreeHistogramOf should be nil")
-		}
-	}
-}
-
-func TestIsolatedPairsOfSparsePath(t *testing.T) {
-	// Two isolated pairs {0,1} and {2,3}, one busy triangle 4-5-6,
-	// and a self loop on 7 that must be ignored.
-	d := NewSquare(8)
-	d.Set(0, 1, 2)
-	d.Set(1, 0, 1)
-	d.Set(2, 3, 4)
-	d.Set(4, 5, 1)
-	d.Set(5, 6, 1)
-	d.Set(6, 4, 1)
-	d.Set(7, 7, 9)
-	want := [][2]int{{0, 1}, {2, 3}}
-	for _, m := range []Matrix{d, FromDense(d).ToCSR()} {
-		if got := IsolatedPairsOf(m); !reflect.DeepEqual(got, want) {
-			t.Errorf("IsolatedPairsOf = %v, want %v", got, want)
 		}
 	}
 }

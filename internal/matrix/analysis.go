@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 )
 
@@ -40,64 +41,127 @@ type Profile struct {
 	Reciprocal int
 }
 
-// ProfileOf computes the structural profile of a square matrix
-// through the read-only accessor, visiting only stored non-zeros:
-// O(nnz·log deg) on a CSR instead of the dense O(n²) scan.
-// Non-square matrices yield a zero profile with N = -1.
-func ProfileOf(m Matrix) Profile {
+// Summary is what one row-major walk over a square matrix yields:
+// the Profile plus the per-vertex sums, the diagonal and the
+// reciprocated-partner counts. The supernode and pattern readings
+// are reads of it, so a matrix is walked once however many questions
+// a lesson asks of it.
+type Summary struct {
+	Profile
+	// RowSum[i] is the traffic out of i; ColSum[j] the traffic into
+	// j. Both include the diagonal.
+	RowSum, ColSum []int
+	// Diag[i] is the self-loop cell (i, i).
+	Diag []int
+	// Partners[i] counts the vertices j ≠ i that i both sends to and
+	// receives from.
+	Partners []int
+	// buf backs every per-vertex slice plus the walk's row cursors
+	// (cleared after it, so a summary depends only on its matrix),
+	// kept so a reused Summary allocates nothing.
+	buf []int
+}
+
+// Summarize fills s from one row-major walk over the stored cells of
+// m, reusing the storage of s's previous summary, and returns s.
+// visit, when non-nil, sees every stored cell (i, j, v) in that order
+// together with r = m(j, i), the cell's mirror. A Dense finds the
+// mirror by index; a CSR keeps one cursor per row, which only moves
+// forward because the walk asks row j for columns i in increasing
+// order, so every mirror costs O(nnz + n) in total with no binary
+// search. A non-square matrix yields Profile{N: -1} and no visits.
+func (s *Summary) Summarize(m Matrix, visit func(i, j, v, r int)) *Summary {
 	if m.Rows() != m.Cols() {
-		return Profile{N: -1}
+		*s = Summary{Profile: Profile{N: -1}, buf: s.buf}
+		return s
 	}
 	n := m.Rows()
-	p := Profile{
-		N:         n,
-		NNZ:       m.NNZ(),
-		Sum:       m.Sum(),
-		OutFan:    make([]int, n),
-		InFan:     make([]int, n),
-		Symmetric: true,
+	if cap(s.buf) < 7*n {
+		s.buf = make([]int, 7*n)
 	}
-	EachStored(m, func(i, j, v int) {
-		if v > p.MaxEntry {
-			p.MaxEntry = v
-		}
-		p.OutFan[i]++
-		p.InFan[j]++
+	buf := s.buf[:7*n]
+	clear(buf)
+	s.Profile = Profile{
+		N: n, NNZ: m.NNZ(), Sum: m.Sum(), Symmetric: true,
+		OutFan: buf[0:n:n], InFan: buf[n : 2*n : 2*n],
+	}
+	s.RowSum, s.ColSum = buf[2*n:3*n:3*n], buf[3*n:4*n:4*n]
+	s.Diag, s.Partners = buf[4*n:5*n:5*n], buf[5*n:6*n:6*n]
+	cell := func(i, j, v, r int) {
+		s.MaxEntry = max(s.MaxEntry, v)
+		s.OutFan[i]++
+		s.InFan[j]++
+		s.RowSum[i] += v
+		s.ColSum[j] += v
 		if i == j {
-			p.DiagNNZ++
-			return
-		}
-		// One transposed lookup settles both symmetry and (for
-		// the upper triangle) reciprocity. Lower-triangle entries
-		// only matter for symmetry, so skip their lookup once
-		// asymmetry is established.
-		if i < j || p.Symmetric {
-			r := m.At(j, i)
+			s.DiagNNZ++
+			s.Diag[i] = v
+		} else {
 			if r != v {
-				p.Symmetric = false
+				s.Symmetric = false
 			}
 			if i < j && r != 0 {
-				p.Reciprocal++
+				s.Reciprocal++
+				s.Partners[i]++
+				s.Partners[j]++
 			}
 		}
-	})
-	p.OffDiagNNZ = p.NNZ - p.DiagNNZ
-	for i := 0; i < n; i++ {
-		if p.OutFan[i] > p.MaxOutFan {
-			p.MaxOutFan = p.OutFan[i]
-		}
-		if p.InFan[i] > p.MaxInFan {
-			p.MaxInFan = p.InFan[i]
-		}
-		if p.OutFan[i] > 0 {
-			p.ActiveSources++
-		}
-		if p.InFan[i] > 0 {
-			p.ActiveDests++
+		if visit != nil {
+			visit(i, j, v, r)
 		}
 	}
-	return p
+	switch t := m.(type) {
+	case *Dense:
+		for i := 0; i < n; i++ {
+			for j, v := range t.data[i*n : (i+1)*n] {
+				if v != 0 {
+					cell(i, j, v, t.data[j*n+i])
+				}
+			}
+		}
+	case *CSR:
+		cursor := buf[6*n:]
+		copy(cursor, t.rowPtr[:n])
+		for i := 0; i < n; i++ {
+			for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
+				j, v := t.colIdx[k], t.vals[k]
+				r := v
+				if j != i {
+					c, end := cursor[j], t.rowPtr[j+1]
+					for c < end && t.colIdx[c] < i {
+						c++
+					}
+					cursor[j] = c
+					r = 0
+					if c < end && t.colIdx[c] == i {
+						r = t.vals[c]
+					}
+				}
+				cell(i, j, v, r)
+			}
+		}
+		clear(cursor)
+	default:
+		panic(fmt.Sprintf("matrix: cannot summarize a %T", m))
+	}
+	s.OffDiagNNZ = s.NNZ - s.DiagNNZ
+	for i := 0; i < n; i++ {
+		s.MaxOutFan = max(s.MaxOutFan, s.OutFan[i])
+		s.MaxInFan = max(s.MaxInFan, s.InFan[i])
+		if s.OutFan[i] > 0 {
+			s.ActiveSources++
+		}
+		if s.InFan[i] > 0 {
+			s.ActiveDests++
+		}
+	}
+	return s
 }
+
+// ProfileOf computes the structural profile of a square matrix in one
+// walk over its stored cells. Non-square matrices yield a zero
+// profile with N = -1.
+func ProfileOf(m Matrix) Profile { return new(Summary).Summarize(m, nil).Profile }
 
 // HotSpot identifies a vertex with unusually concentrated traffic.
 type HotSpot struct {
@@ -113,28 +177,18 @@ type HotSpot struct {
 	Direction string
 }
 
-// SupernodesOf returns vertices whose fan-in or fan-out is at least
+// Supernodes returns the vertices whose fan-in or fan-out is at least
 // minFan, sorted by decreasing fan then index: the "supernode"
 // concept from the paper's traffic-topologies module. A vertex can
 // appear twice, once per direction.
-func SupernodesOf(m Matrix, minFan int) []HotSpot {
-	p := ProfileOf(m)
-	if p.N < 0 {
-		return nil
-	}
-	rowSums := make([]int, p.N)
-	colSums := make([]int, p.N)
-	EachStored(m, func(i, j, v int) {
-		rowSums[i] += v
-		colSums[j] += v
-	})
+func (s *Summary) Supernodes(minFan int) []HotSpot {
 	var hits []HotSpot
-	for i := 0; i < p.N; i++ {
-		if p.OutFan[i] >= minFan {
-			hits = append(hits, HotSpot{Index: i, Fan: p.OutFan[i], Packets: rowSums[i], Direction: "out"})
+	for i := 0; i < s.N; i++ {
+		if s.OutFan[i] >= minFan {
+			hits = append(hits, HotSpot{Index: i, Fan: s.OutFan[i], Packets: s.RowSum[i], Direction: "out"})
 		}
-		if p.InFan[i] >= minFan {
-			hits = append(hits, HotSpot{Index: i, Fan: p.InFan[i], Packets: colSums[i], Direction: "in"})
+		if s.InFan[i] >= minFan {
+			hits = append(hits, HotSpot{Index: i, Fan: s.InFan[i], Packets: s.ColSum[i], Direction: "in"})
 		}
 	}
 	slices.SortFunc(hits, func(a, b HotSpot) int {
@@ -143,89 +197,7 @@ func SupernodesOf(m Matrix, minFan int) []HotSpot {
 	return hits
 }
 
-// IsolatedPairsOf returns the unordered pairs {i,j} that exchange
-// traffic only with each other (their entire fan is the pair), the
-// paper's "isolated links" topology. Self loops are ignored. The
-// sparse formulation tracks each vertex's unique off-diagonal peer
-// in one pass over the stored entries — O(nnz + n) instead of the
-// dense O(n³) pair scan.
-func IsolatedPairsOf(m Matrix) [][2]int {
-	if m.Rows() != m.Cols() {
-		return nil
-	}
-	n := m.Rows()
-	const (
-		noPeer   = -1
-		manyPeer = -2
-	)
-	// peer[v] is v's sole off-diagonal counterparty (either
-	// direction), or manyPeer once a second one appears.
-	peer := make([]int, n)
-	for i := range peer {
-		peer[i] = noPeer
-	}
-	note := func(v, other int) {
-		switch peer[v] {
-		case noPeer:
-			peer[v] = other
-		case other:
-		default:
-			peer[v] = manyPeer
-		}
-	}
-	EachStored(m, func(i, j, _ int) {
-		if i == j {
-			return
-		}
-		note(i, j)
-		note(j, i)
-	})
-	var pairs [][2]int
-	for i := 0; i < n; i++ {
-		if j := peer[i]; j > i && peer[j] == i {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return pairs
-}
-
-// DegreeHistogramOf returns counts[k] = number of vertices with
-// unweighted total degree k (in-fan + out-fan). The multi-temporal
-// analysis literature the paper cites studies exactly these degree
-// distributions.
-func DegreeHistogramOf(m Matrix) []int {
-	p := ProfileOf(m)
-	if p.N < 0 {
-		return nil
-	}
-	maxDeg := 0
-	degs := make([]int, p.N)
-	for i := 0; i < p.N; i++ {
-		degs[i] = p.OutFan[i] + p.InFan[i]
-		if degs[i] > maxDeg {
-			maxDeg = degs[i]
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for _, d := range degs {
-		counts[d]++
-	}
-	return counts
-}
-
-// TopLinksOf returns the k heaviest (row, col, value) triples in
-// decreasing value order (ties broken by row then col). Useful for
-// "which link dominates this matrix?" quiz content.
-func TopLinksOf(m Matrix, k int) []Entry {
-	all := make([]Entry, 0, m.NNZ())
-	EachStored(m, func(i, j, v int) {
-		all = append(all, Entry{Row: i, Col: j, Val: v})
-	})
-	slices.SortFunc(all, func(a, b Entry) int {
-		return cmp.Or(cmp.Compare(b.Val, a.Val), cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
-	})
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
+// SupernodesOf returns m's Summary.Supernodes.
+func SupernodesOf(m Matrix, minFan int) []HotSpot {
+	return new(Summary).Summarize(m, nil).Supernodes(minFan)
 }

@@ -77,47 +77,3 @@ func TestSupernodesSorted(t *testing.T) {
 		t.Errorf("expected fan-4 hub first: %+v", hubs)
 	}
 }
-
-func TestIsolatedPairsDetection(t *testing.T) {
-	m := NewSquare(6)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 2) // isolated pair 0↔1
-	m.Set(2, 3, 1) // one-way, still isolated as a pair
-	m.Set(4, 5, 1)
-	m.Set(4, 2, 1) // 4 talks to both 5 and 2: not isolated
-	pairs := IsolatedPairsOf(m)
-	want := [][2]int{{0, 1}}
-	// Pair {2,3} is broken: vertex 2 also receives from 4.
-	if !reflect.DeepEqual(pairs, want) {
-		t.Errorf("IsolatedPairs = %v, want %v", pairs, want)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	m := NewSquare(3)
-	m.Set(0, 1, 1)
-	// Degrees (in-fan + out-fan): v0=1, v1=1, v2=0.
-	hist := DegreeHistogramOf(m)
-	if !reflect.DeepEqual(hist, []int{1, 2}) {
-		t.Errorf("DegreeHistogram = %v", hist)
-	}
-}
-
-func TestTopLinks(t *testing.T) {
-	m := MustFromRows([][]int{
-		{0, 5, 1},
-		{0, 0, 5},
-		{2, 0, 0},
-	})
-	top := TopLinksOf(m, 2)
-	if len(top) != 2 {
-		t.Fatalf("TopLinks len = %d", len(top))
-	}
-	// Two fives, tie broken by row: (0,1) before (1,2).
-	if top[0] != (Entry{0, 1, 5}) || top[1] != (Entry{1, 2, 5}) {
-		t.Errorf("TopLinks = %v", top)
-	}
-	if got := TopLinksOf(m, 100); len(got) != 4 {
-		t.Errorf("TopLinks overshoot = %d entries", len(got))
-	}
-}

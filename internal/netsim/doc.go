@@ -43,9 +43,9 @@
 //   - beacon: covert C2 beaconing — a single light periodic
 //     blue→red link.
 //
-// patterns.ClassifyBehaviorOf recognizes the four extended shapes;
-// patterns.ClassifyTopologyOf, ClassifyAttackStageOf, and
-// ClassifyDDoSOf cover the originals; patterns.ClassifyMixtureOf
+// A patterns.Summary of a run's matrix answers every lesson question
+// from one walk: its Behavior reading recognizes the four extended
+// shapes; Topology, AttackStage and DDoS cover the originals; Mixture
 // scores all eight at once for composed traffic.
 //
 // # Composition algebra

@@ -48,10 +48,15 @@ var Behaviors = []Behavior{
 	BehaviorWorm, BehaviorExfiltration, BehaviorFlashCrowd, BehaviorBeaconing,
 }
 
-// ClassifyBehaviorOf returns the extended-catalog behaviour whose
-// signature best explains the off-diagonal traffic, with the
-// explained packet fraction as confidence. Each behaviour gates on
-// the structural feature that separates it from its neighbours:
+// ClassifyBehaviorOf returns m's Summary.Behavior.
+func ClassifyBehaviorOf(m matrix.Matrix, z Zones) (Behavior, float64) {
+	return new(Summary).Summarize(m, z, nil).Behavior()
+}
+
+// Behavior returns the extended-catalog behaviour whose signature
+// best explains the off-diagonal traffic, with the explained packet
+// fraction as confidence. Each behaviour gates on the structural
+// feature that separates it from its neighbours:
 //
 //   - flash crowd needs a blue hub column absorbing traffic from at
 //     least SupernodeFanThreshold distinct sources (a worm cascade
@@ -65,65 +70,26 @@ var Behaviors = []Behavior{
 //     are lighter than the inbound crowd);
 //   - beaconing needs blue→red traffic outweighing any red→blue
 //     tasking replies.
-//
-// It reads the matrix through the read-only accessor interface and
-// visits only stored entries, so a CSR aggregated by the concurrent
-// scenario engine classifies in O(nnz·log deg) with no dense
-// materialization.
-func ClassifyBehaviorOf(m matrix.Matrix, z Zones) (Behavior, float64) {
-	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
+func (s *Summary) Behavior() (Behavior, float64) {
+	if !s.zoned || s.NNZ == 0 || s.packets == 0 {
 		return BehaviorUnknown, 0
 	}
-	n := m.Rows()
-	total := 0
-	zonePackets := map[[2]Zone]int{}
-	inPackets := make([]int, n) // off-diagonal inbound packets per column
-	inFan := make([]int, n)     // distinct off-diagonal sources per column
-	blueBlueDsts := map[int]bool{}
-	reciprocated := 0                // reciprocated blue→blue packet volume
-	bgRow, bgCol, bgVal := -1, -1, 0 // heaviest blue→grey cell
-	matrix.EachStored(m, func(i, j, v int) {
-		if i == j {
-			return
-		}
-		zi, zj := z.Of(i), z.Of(j)
-		total += v
-		zonePackets[[2]Zone{zi, zj}] += v
-		inPackets[j] += v
-		inFan[j]++
-		if zi == ZoneBlue && zj == ZoneBlue {
-			blueBlueDsts[j] = true
-			if m.At(j, i) != 0 {
-				reciprocated += v
-			}
-		}
-		if zi == ZoneBlue && zj == ZoneGrey && v > bgVal {
-			bgRow, bgCol, bgVal = i, j, v
-		}
-	})
-	if total == 0 {
-		return BehaviorUnknown, 0
-	}
-	score := map[Behavior]float64{}
+	total := s.packets
+	var score [len(behaviorNames)]float64
 
 	// Flash crowd: the busiest qualifying blue hub, scored by the
 	// packets it exchanges (crowd in plus replies out).
 	hub := -1
-	for j := 0; j < n; j++ {
-		if z.Of(j) != ZoneBlue || inFan[j] < SupernodeFanThreshold {
+	for j := 0; j < s.N; j++ {
+		if s.Zones.Of(j) != ZoneBlue || s.InFan[j]-s.selfLoop(j) < SupernodeFanThreshold {
 			continue
 		}
-		if hub == -1 || inPackets[j] > inPackets[hub] {
+		if hub == -1 || s.offIn(j) > s.offIn(hub) {
 			hub = j
 		}
 	}
 	if hub >= 0 {
-		exchanged := inPackets[hub]
-		m.Row(hub, func(j, v int) {
-			if j != hub {
-				exchanged += v
-			}
-		})
+		exchanged := s.offIn(hub) + s.RowSum[hub] - s.Diag[hub]
 		score[BehaviorFlashCrowd] = float64(exchanged) / float64(total)
 	}
 
@@ -131,30 +97,30 @@ func ClassifyBehaviorOf(m matrix.Matrix, z Zones) (Behavior, float64) {
 	// must be predominantly unreciprocated — benign blue chatter and
 	// lateral-movement scripts answer back, an infection push does
 	// not.
-	if len(blueBlueDsts) >= 2 {
-		spread := zonePackets[[2]Zone{ZoneBlue, ZoneBlue}] + zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
-		if 2*reciprocated <= spread {
+	if s.blueBlueDsts >= 2 {
+		spread := s.ZonePackets[ZoneBlue][ZoneBlue] + s.ZonePackets[ZoneRed][ZoneBlue]
+		if 2*s.recipBlueBlue <= spread {
 			score[BehaviorWorm] = float64(spread) / float64(total)
 		}
 	}
 
 	// Exfiltration: the dominant blue→grey cell, gated on ≥4×
 	// volume asymmetry against its reverse.
-	if bgVal > 0 && m.At(bgCol, bgRow) <= bgVal/4 {
-		score[BehaviorExfiltration] = float64(bgVal) / float64(total)
+	if s.bgVal > 0 && s.bgMirror <= s.bgVal/4 {
+		score[BehaviorExfiltration] = float64(s.bgVal) / float64(total)
 	}
 
 	// Beaconing: blue→red with at most symmetric tasking back.
-	br := zonePackets[[2]Zone{ZoneBlue, ZoneRed}]
-	rb := zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
+	br := s.ZonePackets[ZoneBlue][ZoneRed]
+	rb := s.ZonePackets[ZoneRed][ZoneBlue]
 	if br > 0 && rb <= br {
 		score[BehaviorBeaconing] = float64(br+rb) / float64(total)
 	}
 
 	best, bestScore := BehaviorUnknown, 0.0
 	for _, b := range Behaviors {
-		if s := score[b]; s > bestScore {
-			best, bestScore = b, s
+		if sc := score[b]; sc > bestScore {
+			best, bestScore = b, sc
 		}
 	}
 	return best, bestScore

@@ -192,16 +192,7 @@ func ClassifyGraph(m *matrix.Dense) GraphKind {
 		return GraphUnknown
 	}
 	// Self loop: every non-zero cell sits on the diagonal.
-	diagOnly := true
-	for i := 0; i < m.Rows() && diagOnly; i++ {
-		for j := 0; j < m.Cols(); j++ {
-			if i != j && m.At(i, j) != 0 {
-				diagOnly = false
-				break
-			}
-		}
-	}
-	if diagOnly {
+	if matrix.ProfileOf(m).OffDiagNNZ == 0 {
 		return GraphSelfLoop
 	}
 
@@ -317,41 +308,26 @@ func (k TopologyKind) String() string {
 // a vertex a supernode rather than an ordinary busy host.
 const SupernodeFanThreshold = 3
 
-// ClassifyTopologyOf identifies which Fig 6 topology a traffic
-// matrix shows, using zones to split internal from external
-// supernodes. It reads the matrix through the read-only accessor
-// interface, visiting only stored entries.
+// ClassifyTopologyOf returns m's Summary.Topology.
 func ClassifyTopologyOf(m matrix.Matrix, z Zones) TopologyKind {
-	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
+	return new(Summary).Summarize(m, z, nil).Topology()
+}
+
+// Topology identifies which Fig 6 topology the matrix shows, using
+// the zones to split internal from external supernodes: a vertex
+// with at least SupernodeFanThreshold distinct peers is a supernode,
+// and a matrix whose every vertex has at most one peer is isolated
+// links when every link is answered, single links when none is.
+func (s *Summary) Topology() TopologyKind {
+	if !s.zoned || s.NNZ == 0 {
 		return TopologyUnknown
 	}
-	n := m.Rows()
-	// peers[v] is the set of distinct off-diagonal counterparties.
-	peers := make([]map[int]bool, n)
-	reciprocalOnly := true
-	anyReciprocal := false
-	matrix.EachStored(m, func(i, j, _ int) {
-		if i == j {
-			return
-		}
-		if peers[i] == nil {
-			peers[i] = make(map[int]bool)
-		}
-		if peers[j] == nil {
-			peers[j] = make(map[int]bool)
-		}
-		peers[i][j] = true
-		peers[j][i] = true
-		if m.At(j, i) != 0 {
-			anyReciprocal = true
-		} else {
-			reciprocalOnly = false
-		}
-	})
 	maxFan, hub := 0, -1
 	allFanOne := true
-	for v := 0; v < n; v++ {
-		fan := len(peers[v])
+	for v := 0; v < s.N; v++ {
+		// Distinct peers: out-fan plus in-fan, less the partners both
+		// count and the self loop.
+		fan := s.OutFan[v] + s.InFan[v] - s.Partners[v] - 2*s.selfLoop(v)
 		if fan > maxFan {
 			maxFan, hub = fan, v
 		}
@@ -360,152 +336,74 @@ func ClassifyTopologyOf(m matrix.Matrix, z Zones) TopologyKind {
 		}
 	}
 	if maxFan >= SupernodeFanThreshold {
-		if z.Of(hub) == ZoneBlue {
+		if s.Zones.Of(hub) == ZoneBlue {
 			return TopologyInternalSupernode
 		}
 		return TopologyExternalSupernode
 	}
 	if allFanOne {
-		if reciprocalOnly && anyReciprocal {
+		if s.Reciprocal > 0 && 2*s.Reciprocal == s.OffDiagNNZ {
 			return TopologyIsolatedLinks
 		}
-		if !anyReciprocal {
+		if s.Reciprocal == 0 {
 			return TopologySingleLinks
 		}
 	}
 	return TopologyUnknown
 }
 
-// zoneCount is the number of Zone values (blue, grey, red), sizing
-// the flow-count table below.
-const zoneCount = 3
-
-// zoneFlowCells tallies the stored non-zero cells of m by
-// (source zone, destination zone) in one scan, plus the total cell
-// count. Every signature-fraction classifier reads from this one
-// table, so scoring k candidate signatures costs one matrix walk
-// instead of k.
-func zoneFlowCells(m matrix.Matrix, z Zones) (counts [zoneCount][zoneCount]int, total int) {
-	matrix.EachStored(m, func(i, j, _ int) {
-		counts[z.Of(i)][z.Of(j)]++
-		total++
-	})
-	return counts, total
+// attackSignatures lists each stage's zone flows.
+var attackSignatures = [...][][2]Zone{
+	StagePlanning:     {{ZoneRed, ZoneRed}},
+	StageStaging:      {{ZoneRed, ZoneGrey}, {ZoneGrey, ZoneRed}},
+	StageInfiltration: {{ZoneGrey, ZoneBlue}, {ZoneBlue, ZoneGrey}},
+	StageLateral:      {{ZoneBlue, ZoneBlue}},
 }
 
-// signatureFraction is flowFraction over a precomputed zone-pair
-// table: the fraction of cells whose zone pair is in the signature.
-func signatureFraction(counts [zoneCount][zoneCount]int, total int, signature map[[2]Zone]bool) float64 {
-	if total == 0 {
-		return 0
-	}
-	hits := 0
-	for pair := range signature {
-		hits += counts[pair[0]][pair[1]]
-	}
-	return float64(hits) / float64(total)
-}
-
-// flowFraction returns the fraction of non-zero cells whose
-// (source zone, destination zone) pair is in the signature set. It
-// walks only stored entries through the accessor interface.
-func flowFraction(m matrix.Matrix, z Zones, signature map[[2]Zone]bool) float64 {
-	counts, total := zoneFlowCells(m, z)
-	return signatureFraction(counts, total, signature)
-}
-
-// attackSignatures maps each stage to the zone flows that
-// characterize it.
-var attackSignatures = map[AttackStage]map[[2]Zone]bool{
-	StagePlanning:     {{ZoneRed, ZoneRed}: true},
-	StageStaging:      {{ZoneRed, ZoneGrey}: true, {ZoneGrey, ZoneRed}: true},
-	StageInfiltration: {{ZoneGrey, ZoneBlue}: true, {ZoneBlue, ZoneGrey}: true},
-	StageLateral:      {{ZoneBlue, ZoneBlue}: true},
-}
-
-// ClassifyAttackStageOf returns the attack stage whose signature
-// flows explain the largest fraction of the matrix's links, with that
-// fraction as a confidence. Pure single-stage matrices score 1.0;
-// a combined campaign scores the dominant stage lower. All four stage
-// signatures score from one zone-pair tally over the read-only
-// accessor interface, so a window classifies in a single O(nnz) scan.
+// ClassifyAttackStageOf returns m's Summary.AttackStage.
 func ClassifyAttackStageOf(m matrix.Matrix, z Zones) (AttackStage, float64) {
-	counts, total := zoneFlowCells(m, z)
-	best, bestScore := StagePlanning, -1.0
-	for _, stage := range AttackStages {
-		if score := signatureFraction(counts, total, attackSignatures[stage]); score > bestScore {
-			best, bestScore = stage, score
-		}
-	}
-	return best, bestScore
+	return new(Summary).Summarize(m, z, nil).AttackStage()
 }
 
-// postureSignatures maps each protection posture to its zone flows.
-var postureSignatures = map[Posture]map[[2]Zone]bool{
-	PostureSecurity:   {{ZoneBlue, ZoneBlue}: true},
-	PostureDefense:    {{ZoneBlue, ZoneGrey}: true, {ZoneGrey, ZoneBlue}: true},
-	PostureDeterrence: {{ZoneBlue, ZoneRed}: true, {ZoneRed, ZoneRed}: true},
+// AttackStage returns the attack stage whose signature flows explain
+// the largest fraction of the matrix's links, with that fraction as a
+// confidence. Pure single-stage matrices score 1.0; a combined
+// campaign scores the dominant stage lower.
+func (s *Summary) AttackStage() (AttackStage, float64) {
+	k, score := s.bestFraction(len(attackSignatures), func(k int) int { return s.zoneHits(attackSignatures[k]) })
+	return AttackStage(k), score
 }
 
-// ClassifyPosture returns the security/defense/deterrence concept
-// whose signature flows best explain the matrix, with the explained
-// fraction as confidence.
+// postureSignatures lists each protection posture's zone flows.
+var postureSignatures = [...][][2]Zone{
+	PostureSecurity:   {{ZoneBlue, ZoneBlue}},
+	PostureDefense:    {{ZoneBlue, ZoneGrey}, {ZoneGrey, ZoneBlue}},
+	PostureDeterrence: {{ZoneBlue, ZoneRed}, {ZoneRed, ZoneRed}},
+}
+
+// ClassifyPosture returns m's Summary.Posture.
 func ClassifyPosture(m *matrix.Dense, z Zones) (Posture, float64) {
-	counts, total := zoneFlowCells(m, z)
-	best, bestScore := PostureSecurity, -1.0
-	for _, p := range Postures {
-		if score := signatureFraction(counts, total, postureSignatures[p]); score > bestScore {
-			best, bestScore = p, score
-		}
-	}
-	return best, bestScore
+	return new(Summary).Summarize(m, z, nil).Posture()
 }
 
-// ClassifyDDoSOf returns the DDoS component that best explains the
-// matrix given the cast of the attack, with the explained fraction
-// as confidence. One pass over the stored entries (through the
-// read-only accessor interface) tallies every component's hits, so a
-// CSR window classifies in O(nnz) with no dense materialization.
+// Posture returns the security/defense/deterrence concept whose
+// signature flows best explain the matrix, with the explained
+// fraction as confidence.
+func (s *Summary) Posture() (Posture, float64) {
+	k, score := s.bestFraction(len(postureSignatures), func(k int) int { return s.zoneHits(postureSignatures[k]) })
+	return Posture(k), score
+}
+
+// ClassifyDDoSOf returns m's Summary.DDoS for the given cast.
 func ClassifyDDoSOf(m matrix.Matrix, roles DDoSRoles) (DDoSComponent, float64) {
-	n := m.Rows()
-	inC2 := make([]bool, n)
-	for _, v := range roles.C2 {
-		if v >= 0 && v < n {
-			inC2[v] = true
-		}
-	}
-	inBots := make([]bool, n)
-	for _, v := range roles.Bots {
-		if v >= 0 && v < n {
-			inBots[v] = true
-		}
-	}
-	total := 0
-	var hits [DDoSBackscatter + 1]int
-	matrix.EachStored(m, func(i, j, _ int) {
-		total++
-		if inC2[i] && inC2[j] {
-			hits[DDoSC2]++
-		}
-		if inC2[i] && inBots[j] {
-			hits[DDoSBotnet]++
-		}
-		if inBots[i] && j == roles.Victim {
-			hits[DDoSAttack]++
-		}
-		if i == roles.Victim && inBots[j] {
-			hits[DDoSBackscatter]++
-		}
-	})
-	best, bestScore := DDoSC2, -1.0
-	for _, component := range DDoSComponents {
-		score := 0.0
-		if total > 0 {
-			score = float64(hits[component]) / float64(total)
-		}
-		if score > bestScore {
-			best, bestScore = component, score
-		}
-	}
-	return best, bestScore
+	return new(Summary).Summarize(m, Zones{}, &roles).DDoS()
+}
+
+// DDoS returns the DDoS component that best explains the matrix given
+// the cast the summary was taken with, with the explained fraction of
+// stored cells as confidence. Without a cast every component scores
+// 0.
+func (s *Summary) DDoS() (DDoSComponent, float64) {
+	k, score := s.bestFraction(len(s.ddos), func(k int) int { return s.ddos[k] })
+	return DDoSComponent(k), score
 }

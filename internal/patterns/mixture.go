@@ -49,12 +49,16 @@ var mixtureLabels = []string{
 	"worm", "exfil", "flashcrowd", "beacon",
 }
 
-// ClassifyMixtureOf scores every catalog shape against the matrix and
-// returns the components above MinMixtureScore, strongest first (ties
-// break in mixtureLabels order). A pure single-scenario matrix
-// reports its own shape dominant; an overlay reports each layer it
-// can still discern. It consumes the read-only accessor interface, so
-// Dense and CSR classify identically, visiting only stored entries.
+// ClassifyMixtureOf returns m's Summary.Mixture.
+func ClassifyMixtureOf(m matrix.Matrix, z Zones) []MixtureComponent {
+	return new(Summary).Summarize(m, z, nil).Mixture()
+}
+
+// Mixture scores every catalog shape against the matrix and returns
+// the components above MinMixtureScore, strongest first (ties break
+// in mixtureLabels order). A pure single-scenario matrix reports its
+// own shape dominant; an overlay reports each layer it can still
+// discern.
 //
 // Each shape is gated on the structural feature that separates it
 // from its neighbours:
@@ -80,94 +84,38 @@ var mixtureLabels = []string{
 //     reverse;
 //   - beacon: light blue→red carrier with at most symmetric tasking
 //     replies (scored by cells as well as volume).
-func ClassifyMixtureOf(m matrix.Matrix, z Zones) []MixtureComponent {
-	scores := mixtureScores(m, z)
+func (s *Summary) Mixture() []MixtureComponent {
+	scores := s.mixtureScores()
 	var out []MixtureComponent
 	for _, label := range mixtureLabels {
-		if s := scores[label]; s >= MinMixtureScore {
-			if s > 1 {
-				s = 1
-			}
-			out = append(out, MixtureComponent{Label: label, Score: s})
+		if sc := scores[label]; sc >= MinMixtureScore {
+			out = append(out, MixtureComponent{Label: label, Score: min(sc, 1)})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
 }
 
-// mixtureScores gathers the per-shape fractions in one pass over the
-// stored entries (plus At reciprocity lookups and one row re-visit
-// per candidate hub column).
-func mixtureScores(m matrix.Matrix, z Zones) map[string]float64 {
+// mixtureScores reads the per-shape fractions off the summary.
+func (s *Summary) mixtureScores() map[string]float64 {
 	scores := map[string]float64{}
-	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
+	if !s.zoned || s.NNZ == 0 || s.packets == 0 {
 		return scores
 	}
-	n := m.Rows()
-
-	total := 0      // all off-diagonal packets
-	totalCells := 0 // all off-diagonal stored cells
-	zonePackets := map[[2]Zone]int{}
-	balancedBlue := 0             // balanced chatter volume touching blue space
-	scanPackets := make([]int, n) // per red row: unreciprocated red→blue volume
-	scanCells := make([]int, n)   // per red row: distinct unreciprocated blue targets
-	// unbalanced[j] maps each source pouring unbalanced traffic into
-	// column j to that traffic's volume (candidate flood/crowd arms).
-	unbalanced := make([]map[int]int, n)
-	blueBlueDsts := map[int]bool{}
-	recipBlueBlue := 0               // reciprocated blue→blue volume
-	bgRow, bgCol, bgVal := -1, -1, 0 // heaviest blue→grey cell
-
-	matrix.EachStored(m, func(i, j, v int) {
-		if i == j {
-			return
-		}
-		zi, zj := z.Of(i), z.Of(j)
-		total += v
-		totalCells++
-		zonePackets[[2]Zone{zi, zj}] += v
-		r := m.At(j, i)
-		balanced := r > 0 && v < balanceRatio*r && r < balanceRatio*v
-		if balanced && (zi == ZoneBlue || zj == ZoneBlue) && zi != ZoneRed && zj != ZoneRed {
-			balancedBlue += v
-		}
-		if !balanced && zj == ZoneBlue && v >= balanceRatio*r {
-			if unbalanced[j] == nil {
-				unbalanced[j] = make(map[int]int)
-			}
-			unbalanced[j][i] += v
-		}
-		if zi == ZoneBlue && zj == ZoneBlue {
-			blueBlueDsts[j] = true
-			if r != 0 {
-				recipBlueBlue += v
-			}
-		}
-		if zi == ZoneBlue && zj == ZoneGrey && v > bgVal {
-			bgRow, bgCol, bgVal = i, j, v
-		}
-		if zi == ZoneRed && zj == ZoneBlue && r == 0 {
-			scanPackets[i] += v
-			scanCells[i]++
-		}
-	})
-	if total == 0 {
-		return scores
-	}
-	frac := func(v int) float64 { return float64(v) / float64(total) }
-	cellFrac := func(c int) float64 { return float64(c) / float64(totalCells) }
+	frac := func(v int) float64 { return float64(v) / float64(s.packets) }
+	cellFrac := func(c int) float64 { return float64(c) / float64(s.OffDiagNNZ) }
 
 	// background: balanced conversational volume in blue/grey space.
-	scores["background"] = frac(balancedBlue)
+	scores["background"] = frac(s.balancedBlue)
 
 	// scan: every red row probing enough distinct blue targets
 	// contributes; light probes score by structure (cells) when the
 	// volume fraction undersells them.
 	scannedPkts, scannedCells := 0, 0
-	for i := 0; i < n; i++ {
-		if z.Of(i) == ZoneRed && scanCells[i] >= SupernodeFanThreshold {
-			scannedPkts += scanPackets[i]
-			scannedCells += scanCells[i]
+	for i := 0; i < s.N; i++ {
+		if s.Zones.Of(i) == ZoneRed && s.scanCells[i] >= SupernodeFanThreshold {
+			scannedPkts += s.scanPackets[i]
+			scannedCells += s.scanCells[i]
 		}
 	}
 	scores["scan"] = max(frac(scannedPkts), cellFrac(scannedCells))
@@ -178,8 +126,8 @@ func mixtureScores(m matrix.Matrix, z Zones) map[string]float64 {
 	weakest := -1.0
 	for _, stage := range AttackStages {
 		hits := 0
-		for pair := range attackSignatures[stage] {
-			hits += zonePackets[pair]
+		for _, pair := range attackSignatures[stage] {
+			hits += s.ZonePackets[pair[0]][pair[1]]
 		}
 		if f := frac(hits); weakest < 0 || f < weakest {
 			weakest = f
@@ -191,71 +139,44 @@ func mixtureScores(m matrix.Matrix, z Zones) map[string]float64 {
 
 	// ddos and flashcrowd: both are unbalanced fan-in columns on a
 	// blue host; the source mix separates them — the flood arrives
-	// from outside blue space, the crowd mostly from inside it.
-	for j := 0; j < n; j++ {
-		arms := unbalanced[j]
-		if z.Of(j) != ZoneBlue || len(arms) < SupernodeFanThreshold {
+	// from outside blue space, the crowd mostly from inside it. The
+	// replies out of the hub to its arms are the crowd's
+	// acknowledgements, the flood's backscatter.
+	for j := 0; j < s.N; j++ {
+		arms := s.arms[j]
+		if s.Zones.Of(j) != ZoneBlue || arms < SupernodeFanThreshold {
 			continue
 		}
-		inVol, blueArms, nonBlueArms, nonBlueVol := 0, 0, 0, 0
-		for i, v := range arms {
-			inVol += v
-			if z.Of(i) == ZoneBlue {
-				blueArms++
-			} else {
-				nonBlueArms++
-				nonBlueVol += v
-			}
+		if arms-s.blueArms[j] >= SupernodeFanThreshold {
+			flood := frac(s.nonBlueArmVol[j]+s.armReplies[j]) + frac(s.ZonePackets[ZoneRed][ZoneRed])
+			scores["ddos"] = max(scores["ddos"], flood)
 		}
-		// Replies out of the hub to its unbalanced sources: the
-		// crowd's acknowledgements, the flood's backscatter.
-		replies := 0
-		m.Row(j, func(k, v int) {
-			if _, ok := arms[k]; ok {
-				replies += v
-			}
-		})
-		if nonBlueArms >= SupernodeFanThreshold {
-			flood := frac(nonBlueVol+replies) + frac(zonePackets[[2]Zone{ZoneRed, ZoneRed}])
-			if flood > scores["ddos"] {
-				scores["ddos"] = flood
-			}
-		}
-		if 2*blueArms >= len(arms) {
-			crowd := frac(inVol + replies)
-			if crowd > scores["flashcrowd"] {
-				scores["flashcrowd"] = crowd
-			}
+		if 2*s.blueArms[j] >= arms {
+			scores["flashcrowd"] = max(scores["flashcrowd"], frac(s.armVol[j]+s.armReplies[j]))
 		}
 	}
 
 	// worm: predominantly unreciprocated blue→blue spread plus the
 	// red→blue seed.
-	if len(blueBlueDsts) >= 2 {
-		spread := zonePackets[[2]Zone{ZoneBlue, ZoneBlue}] + zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
-		if 2*recipBlueBlue <= spread {
+	if s.blueBlueDsts >= 2 {
+		spread := s.ZonePackets[ZoneBlue][ZoneBlue] + s.ZonePackets[ZoneRed][ZoneBlue]
+		if 2*s.recipBlueBlue <= spread {
 			scores["worm"] = frac(spread)
 		}
 	}
 
 	// exfil: the dominant blue→grey cell, gated on asymmetry.
-	if bgVal > 0 && m.At(bgCol, bgRow) <= bgVal/balanceRatio {
-		scores["exfil"] = frac(bgVal)
+	if s.bgVal > 0 && s.bgMirror <= s.bgVal/balanceRatio {
+		scores["exfil"] = frac(s.bgVal)
 	}
 
 	// beacon: blue→red carrier with at most symmetric tasking back;
 	// a light covert channel scores by structure when volume
 	// undersells it.
-	br := zonePackets[[2]Zone{ZoneBlue, ZoneRed}]
-	rb := zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
+	br := s.ZonePackets[ZoneBlue][ZoneRed]
+	rb := s.ZonePackets[ZoneRed][ZoneBlue]
 	if br > 0 && rb <= br {
-		beaconCells := 0
-		matrix.EachStored(m, func(i, j, _ int) {
-			if z.Of(i) == ZoneBlue && z.Of(j) == ZoneRed {
-				beaconCells++
-			}
-		})
-		scores["beacon"] = max(frac(br+rb), cellFrac(beaconCells))
+		scores["beacon"] = max(frac(br+rb), cellFrac(s.ZoneCells[ZoneBlue][ZoneRed]))
 	}
 	return scores
 }

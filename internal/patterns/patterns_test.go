@@ -2,6 +2,7 @@ package patterns
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/matrix"
@@ -67,19 +68,6 @@ func TestColorMatrixMatchesPaperTemplate(t *testing.T) {
 				t.Fatalf("ColorMatrix(%d,%d) = %d, want %d", i, j, got, want)
 			}
 		}
-	}
-}
-
-func TestFlowCounts(t *testing.T) {
-	m := matrix.NewSquare(10)
-	m.Set(0, 9, 1) // blue→red
-	m.Set(9, 0, 1) // red→blue
-	m.Set(4, 5, 1) // grey→grey
-	counts := StandardZones10.FlowCounts(m)
-	if counts[[2]Zone{ZoneBlue, ZoneRed}] != 1 ||
-		counts[[2]Zone{ZoneRed, ZoneBlue}] != 1 ||
-		counts[[2]Zone{ZoneGrey, ZoneGrey}] != 1 {
-		t.Errorf("FlowCounts = %v", counts)
 	}
 }
 
@@ -200,9 +188,12 @@ func TestAttackStagesConfinedToZones(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for flow, count := range StandardZones10.FlowCounts(m) {
-			if count > 0 && !allowed[flow] {
-				t.Errorf("stage %v has out-of-zone flow %v→%v", stage, flow[0], flow[1])
+		s := new(Summary).Summarize(m, StandardZones10, nil)
+		for src, row := range s.ZoneCells {
+			for dst, count := range row {
+				if flow := [2]Zone{Zone(src), Zone(dst)}; count > 0 && !allowed[flow] {
+					t.Errorf("stage %v has out-of-zone flow %v→%v", stage, flow[0], flow[1])
+				}
 			}
 		}
 	}
@@ -317,20 +308,52 @@ func TestAddNoiseCapsAtEmptyCells(t *testing.T) {
 }
 
 func TestClassifiersRobustOnRandomMatrices(t *testing.T) {
+	roles, err := AssignDDoSRoles(StandardZones10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inRange := func(trial int, what string, conf float64) {
+		t.Helper()
+		if conf < 0 || conf > 1 {
+			t.Fatalf("trial %d: %s confidence %f out of range", trial, what, conf)
+		}
+	}
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		m := matrix.NewSquare(10)
 		for k := 0; k < rng.Intn(30); k++ {
 			m.Set(rng.Intn(10), rng.Intn(10), rng.Intn(5))
 		}
-		// None of these may panic, and confidences stay in [0,1].
+		// None of these may panic, confidences stay in [0,1], and
+		// the CSR form reads exactly like the dense one.
 		ClassifyGraph(m)
-		ClassifyTopologyOf(m, StandardZones10)
-		if _, conf := ClassifyAttackStageOf(m, StandardZones10); conf < 0 || conf > 1 {
-			t.Fatalf("attack confidence %f out of range", conf)
+		c := matrix.FromDense(m).ToCSR()
+		if got, want := ClassifyTopologyOf(c, StandardZones10), ClassifyTopologyOf(m, StandardZones10); got != want {
+			t.Fatalf("trial %d: topology CSR %v != Dense %v", trial, got, want)
 		}
-		if _, conf := ClassifyPosture(m, StandardZones10); conf < 0 || conf > 1 {
-			t.Fatalf("posture confidence %f out of range", conf)
+		stage, conf := ClassifyAttackStageOf(m, StandardZones10)
+		inRange(trial, "attack", conf)
+		if cs, cc := ClassifyAttackStageOf(c, StandardZones10); cs != stage || cc != conf {
+			t.Fatalf("trial %d: attack CSR %v/%v != Dense %v/%v", trial, cs, cc, stage, conf)
+		}
+		_, conf = ClassifyPosture(m, StandardZones10)
+		inRange(trial, "posture", conf)
+		comp, conf := ClassifyDDoSOf(m, roles)
+		inRange(trial, "ddos", conf)
+		if cc, cconf := ClassifyDDoSOf(c, roles); cc != comp || cconf != conf {
+			t.Fatalf("trial %d: ddos CSR %v/%v != Dense %v/%v", trial, cc, cconf, comp, conf)
+		}
+		b, conf := ClassifyBehaviorOf(m, StandardZones10)
+		inRange(trial, "behavior", conf)
+		if cb, cconf := ClassifyBehaviorOf(c, StandardZones10); cb != b || cconf != conf {
+			t.Fatalf("trial %d: behavior CSR %v/%v != Dense %v/%v", trial, cb, cconf, b, conf)
+		}
+		mix := ClassifyMixtureOf(m, StandardZones10)
+		for _, comp := range mix {
+			inRange(trial, "mixture "+comp.Label, comp.Score)
+		}
+		if got := ClassifyMixtureOf(c, StandardZones10); !reflect.DeepEqual(got, mix) {
+			t.Fatalf("trial %d: mixture CSR %v != Dense %v", trial, got, mix)
 		}
 	}
 }

@@ -104,21 +104,6 @@ func (z Zones) Count(zone Zone) int {
 	return e - s
 }
 
-// FlowCounts tallies the number of non-zero cells between each
-// (source zone, destination zone) pair — the nine-way breakdown the
-// stage classifiers read.
-func (z Zones) FlowCounts(m *matrix.Dense) map[[2]Zone]int {
-	counts := make(map[[2]Zone]int)
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			if m.At(i, j) != 0 {
-				counts[[2]Zone{z.Of(i), z.Of(j)}]++
-			}
-		}
-	}
-	return counts
-}
-
 // ColorMatrix builds the module color matrix the paper's examples
 // use: cells where blue hosts meet red space are painted red (the
 // threat axis), cells where red hosts meet blue space are painted
