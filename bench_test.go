@@ -441,8 +441,8 @@ func BenchmarkNetsimDDoSScenario(b *testing.B) {
 
 // BenchmarkScenarioThroughput measures the concurrent scenario
 // engine's event generation rate (events/s) at 1, 4, and NumCPU
-// workers over the sharded-COO aggregation path (GenerateCSRArena)
-// — the throughput curve EXPERIMENTS.md records.
+// workers over the windowless sparse fold (GenerateCSRArena) — the
+// throughput curve EXPERIMENTS.md records.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	net := netsim.ScaledNetwork(64)
 	s, ok := netsim.LookupScenario("ddos")
@@ -497,58 +497,22 @@ func BenchmarkTraceThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkCOOMerge measures the aggregation hot path: merging
-// sharded COO accumulators against compacting one combined slice.
+// BenchmarkCOOMerge measures the aggregation hot path: compacting
+// one combined slice of triples, the counting sort the sparse fold
+// sums its aggregate with.
 func BenchmarkCOOMerge(b *testing.B) {
-	const shards, perShard = 8, 40000
-	build := func() []*matrix.COO {
-		rng := rand.New(rand.NewSource(13))
-		parts := make([]*matrix.COO, shards)
-		for s := range parts {
-			parts[s] = matrix.NewCOO(256, 256)
-			for k := 0; k < perShard; k++ {
-				parts[s].Add(rng.Intn(256), rng.Intn(256), 1+rng.Intn(6))
-			}
-		}
-		return parts
-	}
-	b.Run("merge-sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			parts := build()
-			b.StartTimer()
-			if _, err := matrix.MergeCOOArena(context.Background(), nil, parts...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	const triples = 8 * 40000
 	b.Run("compact-serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
+			rng := rand.New(rand.NewSource(13))
 			all := matrix.NewCOO(256, 256)
-			for _, p := range build() {
-				for _, e := range p.Entries() {
-					all.Add(e.Row, e.Col, e.Val)
-				}
+			for k := 0; k < triples; k++ {
+				all.Add(rng.Intn(256), rng.Intn(256), 1+rng.Intn(6))
 			}
 			b.StartTimer()
 			all.Compact()
-		}
-	})
-	b.Run("compact-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			all := matrix.NewCOO(256, 256)
-			for _, p := range build() {
-				for _, e := range p.Entries() {
-					all.Add(e.Row, e.Col, e.Val)
-				}
-			}
-			b.StartTimer()
-			all.CompactParallel(4)
 		}
 	})
 }

@@ -333,12 +333,27 @@ func windowResult(k int, w netsim.SparseWindow, zones patterns.Zones, roles patt
 			comp, dconf := s.DDoS()
 			wr.DDoS = &Reading{Label: comp.String(), Confidence: dconf}
 		}
-		if hubs := s.Supernodes(patterns.SupernodeFanThreshold); len(hubs) > 0 {
-			h := hubs[0]
+		if h, ok := topHub(&s.Summary, patterns.SupernodeFanThreshold); ok {
 			wr.Hub = &Hub{Host: labels[h.Index], Direction: h.Direction, Fan: h.Fan, Packets: h.Packets}
 		}
 	}
 	return wr
+}
+
+// topHub is the first of s.Supernodes(minFan) — fan descending, then
+// index, then "in" before "out" — found in one pass over the fans
+// without building or sorting the whole list.
+func topHub(s *matrix.Summary, minFan int) (matrix.HotSpot, bool) {
+	best := matrix.HotSpot{Fan: minFan - 1}
+	for i := 0; i < s.N; i++ {
+		if f := s.InFan[i]; f > best.Fan {
+			best = matrix.HotSpot{Index: i, Fan: f, Packets: s.ColSum[i], Direction: "in"}
+		}
+		if f := s.OutFan[i]; f > best.Fan {
+			best = matrix.HotSpot{Index: i, Fan: f, Packets: s.RowSum[i], Direction: "out"}
+		}
+	}
+	return best, best.Direction != ""
 }
 
 // analyzeMatrix runs every aggregate classifier over one summary of

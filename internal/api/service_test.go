@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/matrix"
 	"repro/internal/netsim"
 )
 
@@ -617,5 +618,31 @@ func TestAnalyzeRejectsNegativeAndOversizedMatrices(t *testing.T) {
 	huge := make([][]int, MaxHosts+1)
 	if _, err := svc.Analyze(context.Background(), AnalyzeRequest{Matrix: huge}); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("oversized matrix: err = %v, want ErrInvalidRequest", err)
+	}
+}
+
+// TestTopHubIsFirstSupernode pins the window hub's one-pass pick to
+// the head of the sorted supernode list on random matrices, including
+// fan ties across indices and directions and matrices with no
+// supernode, at several thresholds.
+func TestTopHubIsFirstSupernode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(12)
+		d := matrix.NewDense(n, n)
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			d.Set(rng.Intn(n), rng.Intn(n), 1+rng.Intn(5))
+		}
+		s := new(matrix.Summary).Summarize(d, nil)
+		for _, minFan := range []int{0, 1, 2, 3, 5} {
+			got, ok := topHub(s, minFan)
+			hubs := s.Supernodes(minFan)
+			if ok != (len(hubs) > 0) {
+				t.Fatalf("trial %d minFan %d: found = %v, supernodes %v", trial, minFan, ok, hubs)
+			}
+			if ok && got != hubs[0] {
+				t.Fatalf("trial %d minFan %d: top hub %+v, want %+v", trial, minFan, got, hubs[0])
+			}
+		}
 	}
 }

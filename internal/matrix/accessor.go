@@ -4,8 +4,8 @@ package matrix
 // sparse representations, *Dense and *CSR, its only implementations.
 // The analysis layer (Summary, and through it ProfileOf, SupernodesOf
 // and the pattern classifiers) takes either, so a traffic matrix
-// aggregated by the concurrent scenario engine flows from the sharded
-// COO merge straight into classification as a CSR, never
+// aggregated by the concurrent scenario engine flows from its COO
+// compaction straight into classification as a CSR, never
 // materializing the n² cells a large sparse matrix would waste.
 //
 // The contract mirrors sparse semantics: Row visits only stored

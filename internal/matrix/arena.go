@@ -2,10 +2,10 @@ package matrix
 
 import "sync"
 
-// The buffer arena for the generation→merge→compact hot path. Under
-// served concurrency every cold request used to allocate fresh COO
-// builder slabs — per-worker shards, per-window shards, the merge
-// output — that die within the request: pure GC pressure at exactly
+// The buffer arena for the generation→compact hot path. Under served
+// concurrency every cold request used to allocate fresh COO builder
+// slabs — per-worker shards, per-window shards, the aggregate
+// builder — that die within the request: pure GC pressure at exactly
 // the event volume the request budget admits. An Arena keeps that
 // builder storage on explicit free-lists instead, so steady-state
 // serving re-files triples into slabs recycled from earlier requests.

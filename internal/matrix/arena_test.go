@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -104,60 +103,6 @@ func TestCOOReleaseIsIdempotentAndGuards(t *testing.T) {
 		}
 	}()
 	c.Add(0, 0, 1)
-}
-
-func TestMergeCOOArenaParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	build := func(a *Arena) []*COO {
-		r := rand.New(rand.NewSource(31))
-		parts := make([]*COO, 5)
-		for s := range parts {
-			parts[s] = NewCOOIn(a, 40, 40, 0)
-			for k := 0; k < 500+r.Intn(500); k++ {
-				parts[s].Add(r.Intn(40), r.Intn(40), 1+r.Intn(5))
-			}
-		}
-		return parts
-	}
-	_ = rng
-	plain, err := MergeCOOArena(context.Background(), nil, build(nil)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewArena()
-	parts := build(a)
-	pooled, err := MergeCOOArena(context.Background(), a, parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Entries(), pooled.Entries()) {
-		t.Fatal("arena-backed merge differs from the plain merge")
-	}
-	// The merged output copies every triple: releasing the parts and
-	// the merged matrix afterwards must leave a usable pool, and a
-	// second identical round must produce identical triples again
-	// from recycled slabs.
-	want := plain.Entries()
-	for _, p := range parts {
-		p.Release()
-	}
-	csr := pooled.ToCSR()
-	pooled.Release()
-	parts2 := build(a)
-	pooled2, err := MergeCOOArena(context.Background(), a, parts2...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, pooled2.Entries()) {
-		t.Fatal("second merge over recycled slabs differs")
-	}
-	if a.Stats().Hits == 0 {
-		t.Fatal("second round did not reuse any slab")
-	}
-	// The first round's CSR must be untouched by the reuse.
-	if !reflect.DeepEqual(csr.ToCOO().Entries(), want) {
-		t.Fatal("consumer-owned CSR was corrupted by slab reuse")
-	}
 }
 
 func TestWindowCompactorArenaParity(t *testing.T) {

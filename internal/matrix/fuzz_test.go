@@ -1,16 +1,16 @@
 package matrix
 
 import (
-	"context"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // Native fuzz targets for the sparse substrate. Each target decodes
 // the fuzz input as a triple stream on a small matrix and asserts
 // the algebraic invariants the concurrent engine leans on:
-// compaction idempotence, merge-order invariance, and lossless
-// representation round trips. Seed corpora live in
+// compaction idempotence, split- and order-invariance of compacting
+// compacted parts together, and lossless representation round trips. Seed corpora live in
 // testdata/fuzz/<Target>/ and are extended automatically by local
 // `go test -fuzz` runs.
 
@@ -69,6 +69,14 @@ func entriesEqual(a, b []Entry) bool {
 	return true
 }
 
+// entryLess is the row-major triple order of compacted entries.
+func entryLess(a, b Entry) bool {
+	if a.Row != b.Row {
+		return a.Row < b.Row
+	}
+	return a.Col < b.Col
+}
+
 // assertCompactInvariants checks the compacted-entries contract:
 // row-major sorted, unique coordinates, no zero values.
 func assertCompactInvariants(t *testing.T, es []Entry) {
@@ -111,58 +119,48 @@ func FuzzCompact(f *testing.F) {
 		if !entriesEqual(c.entries, once) {
 			t.Fatalf("Compact not idempotent: %v then %v", once, c.entries)
 		}
-		// CompactParallel must agree with Compact for any worker
-		// count, including degenerate ones.
-		for _, workers := range []int{1, 2, 7} {
-			p := buildCOO(rows, cols, entries).CompactParallel(workers)
-			if !entriesEqual(p.entries, once) {
-				t.Fatalf("CompactParallel(%d) = %v, want %v", workers, p.entries, once)
-			}
-		}
 	})
 }
 
-func FuzzMergeCOO(f *testing.F) {
+// FuzzCompactConcat pins the property the sparse fold's aggregate
+// rests on (netsim compacts each worker's remainder on its own, then
+// compacts their concatenation with the sealed windows): compacting
+// the parts of any split first and then compacting their
+// concatenation gives the sum of every triple, entry for entry the
+// same whichever order the parts are concatenated in, with cells
+// whose values cancel to zero dropped.
+func FuzzCompactConcat(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, cols, entries := decodeTriples(data)
 		want := denseReference(rows, cols, entries)
 
-		for _, shards := range []int{1, 2, 3, 5} {
-			parts := make([]*COO, shards)
+		for _, split := range []int{1, 2, 3, 5} {
+			parts := make([]*COO, split)
 			for s := range parts {
 				parts[s] = NewCOO(rows, cols)
 			}
 			for k, e := range entries {
-				parts[k%shards].Add(e.Row, e.Col, e.Val)
+				parts[k%split].Add(e.Row, e.Col, e.Val)
 			}
-			merged, err := MergeCOOArena(context.Background(), nil, parts...)
-			if err != nil {
-				t.Fatal(err)
+			for _, p := range parts {
+				assertCompactInvariants(t, p.Compact().entries)
 			}
-			assertCompactInvariants(t, merged.entries)
-			if !merged.ToDense().Equal(want) {
-				t.Fatalf("MergeCOO over %d shards changed the matrix", shards)
+			concat := func(parts []*COO) *COO {
+				c := NewCOO(rows, cols)
+				for _, p := range parts {
+					c.AddEntries(p.entries)
+				}
+				return c.Compact()
 			}
-			// Order invariance: merging the shards reversed (fresh
-			// accumulators — MergeCOO compacts its inputs in place)
-			// must produce identical entries.
-			rev := make([]*COO, shards)
-			for s := range rev {
-				rev[s] = NewCOO(rows, cols)
+			fwd := concat(parts)
+			assertCompactInvariants(t, fwd.entries)
+			if !fwd.ToDense().Equal(want) {
+				t.Fatalf("compacting %d compacted parts together changed the matrix", split)
 			}
-			for k, e := range entries {
-				rev[k%shards].Add(e.Row, e.Col, e.Val)
-			}
-			for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-				rev[l], rev[r] = rev[r], rev[l]
-			}
-			back, err := MergeCOOArena(context.Background(), nil, rev...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !entriesEqual(back.entries, merged.entries) {
-				t.Fatalf("shard order changed MergeCOO output: %v vs %v", back.entries, merged.entries)
+			slices.Reverse(parts)
+			if back := concat(parts); !entriesEqual(back.entries, fwd.entries) {
+				t.Fatalf("part order changed the compacted concatenation: %v vs %v", back.entries, fwd.entries)
 			}
 		}
 	})

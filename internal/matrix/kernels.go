@@ -8,10 +8,9 @@ import (
 )
 
 // Parallel semiring kernels over the CSR representation. Every
-// kernel shards its work by contiguous row bands — the same
-// decomposition CompactParallel uses for its sort segments — so each
-// goroutine writes a private output region and the results stitch
-// together without locks. All kernels are deterministic: the output
+// kernel shards its work by contiguous row bands, so each goroutine
+// writes a private output region and the results stitch together
+// without locks. All kernels are deterministic: the output
 // is identical for any worker count, which the kernel tests pin.
 //
 // Sparse semiring semantics: cells a representation does not store

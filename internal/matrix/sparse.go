@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,7 +21,7 @@ type COO struct {
 	entries    []Entry
 	// compacted records that entries are row-major sorted, duplicate
 	// free, and zero free, letting Compact (and therefore ToCSR on a
-	// freshly merged matrix) skip the counting sort and dedup passes.
+	// compacted matrix) skip the counting sort and dedup passes.
 	compacted bool
 	// arena, when non-nil, owns the builder storage: Release files
 	// entries back onto its free-list instead of leaving them to the
@@ -145,6 +146,20 @@ func (c *COO) Compact() *COO {
 	c.entries = dedupSorted(c.entries)
 	c.compacted = true
 	return c
+}
+
+// dedupSorted sums duplicate coordinates in a sorted slice in place
+// and drops zero-sum cells.
+func dedupSorted(es []Entry) []Entry {
+	out := es[:0]
+	for _, e := range es {
+		if n := len(out); n > 0 && out[n-1].Row == e.Row && out[n-1].Col == e.Col {
+			out[n-1].Val += e.Val
+			continue
+		}
+		out = append(out, e)
+	}
+	return slices.DeleteFunc(out, func(e Entry) bool { return e.Val == 0 })
 }
 
 // countSort orders es row-major in O(len(es) + rows + cols): a stable

@@ -192,9 +192,8 @@ func comparisonCompact(es []Entry) []Entry {
 }
 
 // TestCompactMatchesComparisonSort is the counting sort's property
-// test: on random matrices, Compact (and CompactParallel, whose runs
-// use the same counting sort) equals a comparison-sort reference,
-// with and without an arena. The shapes cover rows ≠ cols, 0×n and
+// test: on random matrices, Compact equals a comparison-sort
+// reference, with and without an arena. The shapes cover rows ≠ cols, 0×n and
 // 1×1, dimensions far larger than the entry count, negative values,
 // and duplicates that cancel to zero.
 func TestCompactMatchesComparisonSort(t *testing.T) {
@@ -225,24 +224,14 @@ func TestCompactMatchesComparisonSort(t *testing.T) {
 			}
 			want := comparisonCompact(es)
 			for _, a := range []*Arena{nil, arena} {
-				build := func() *COO {
-					c := NewCOOIn(a, sh.rows, sh.cols, len(es))
-					c.AddEntries(es)
-					return c
-				}
 				label := fmt.Sprintf("%dx%d %d entries trial %d pooled %v", sh.rows, sh.cols, len(es), trial, a != nil)
-				c := build().Compact()
+				c := NewCOOIn(a, sh.rows, sh.cols, len(es))
+				c.AddEntries(es)
+				c.Compact()
 				if !entriesEqual(c.entries, want) {
 					t.Fatalf("%s: Compact differs from the comparison-sort reference", label)
 				}
 				c.Release()
-				for _, workers := range []int{2, 3} {
-					p := build().CompactParallel(workers)
-					if !entriesEqual(p.entries, want) {
-						t.Fatalf("%s: CompactParallel(%d) differs from the comparison-sort reference", label, workers)
-					}
-					p.Release()
-				}
 			}
 		}
 	}

@@ -4,8 +4,8 @@ import "repro/internal/matrix"
 
 // The generation-side arena: one pooling scope for everything a
 // request's hot path builds and discards — chunk event buffers, the
-// concatenated trace slab, per-worker and per-window COO shards, the
-// streaming fold's chunk-local window buffers, and the merged or
+// concatenated trace slab, per-worker remainder and per-window COO
+// shards, the sparse fold's chunk-local window buffers, and the
 // summed aggregate. It wraps the matrix layer's triple arena and adds
 // an event-slab pool of its own, because the two element types
 // dominate a request's garbage in roughly equal measure.
@@ -52,7 +52,7 @@ type Arena struct {
 
 // ArenaStats snapshots both pools' counters.
 type ArenaStats struct {
-	// Entries is the COO triple pool (shards, merge outputs).
+	// Entries is the COO triple pool (shards, aggregate builders).
 	Entries matrix.PoolStats
 	// Events is the event-slab pool (chunk buffers, trace slabs).
 	Events matrix.PoolStats
@@ -138,12 +138,4 @@ func divHint(budget, parts int) int {
 		h = maxSlabHint
 	}
 	return h
-}
-
-// releaseShards files every shard's builder storage back. Safe on
-// nil-arena shards (no-op puts).
-func releaseShards(shards []*matrix.COO) {
-	for _, sh := range shards {
-		sh.Release()
-	}
 }

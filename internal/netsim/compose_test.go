@@ -65,11 +65,11 @@ func TestOverlayLayersComponents(t *testing.T) {
 	background, _ := LookupScenario("background")
 	composed := Overlay(background, scan)
 
-	overlayCOO, stats, err := generateMatrixArena(context.Background(), nil, composed, net, 42, 1, composeParams)
+	overlayCSR, stats, err := GenerateCSRArena(context.Background(), nil, composed, net, 42, 1, composeParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgCOO, bgStats, err := generateMatrixArena(context.Background(), nil, background, net, 42, 1, composeParams)
+	bgCSR, bgStats, err := GenerateCSRArena(context.Background(), nil, background, net, 42, 1, composeParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestOverlayLayersComponents(t *testing.T) {
 	// Component 0 occupies the leading chunk indices, so its chunk
 	// seeds — and therefore its exact cells — are those of a
 	// standalone run: overlay[i][j] ≥ background[i][j] everywhere.
-	overlay, bg := overlayCOO.ToDense(), bgCOO.ToDense()
+	overlay, bg := overlayCSR.ToDense(), bgCSR.ToDense()
 	for i := 0; i < net.Len(); i++ {
 		for j := 0; j < net.Len(); j++ {
 			if overlay.At(i, j) < bg.At(i, j) {
@@ -197,11 +197,11 @@ func TestDilateStretchesTime(t *testing.T) {
 func TestAmplifyEqualsScale(t *testing.T) {
 	net := StandardNetwork()
 	ddos, _ := LookupScenario("ddos")
-	amplified, _, err := generateMatrixArena(context.Background(), nil, Amplify(ddos, 3), net, 9, 2, Params{Duration: 12})
+	amplified, _, err := GenerateCSRArena(context.Background(), nil, Amplify(ddos, 3), net, 9, 2, Params{Duration: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, _, err := generateMatrixArena(context.Background(), nil, ddos, net, 9, 2, Params{Duration: 12, Scale: 3})
+	scaled, _, err := GenerateCSRArena(context.Background(), nil, ddos, net, 9, 2, Params{Duration: 12, Scale: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestRelabelMatchesPermutationKernel(t *testing.T) {
 func TestRelabelToForeignHostDrops(t *testing.T) {
 	net := StandardNetwork()
 	scan, _ := LookupScenario("scan")
-	_, stats, err := generateMatrixArena(context.Background(), nil, Relabel(scan, map[string]string{"ADV1": "NOWHERE"}), net, 2, 1, composeParams)
+	_, stats, err := GenerateCSRArena(context.Background(), nil, Relabel(scan, map[string]string{"ADV1": "NOWHERE"}), net, 2, 1, composeParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +395,6 @@ func TestPlanRunRejectsNonFiniteParams(t *testing.T) {
 			t.Errorf("GenerateTraceArena accepted %s", name)
 		} else if !strings.Contains(err.Error(), "finite") {
 			t.Errorf("%s: unhelpful error %q", name, err)
-		}
-		if _, _, err := generateMatrixArena(context.Background(), nil, s, net, 1, 1, p); err == nil {
-			t.Errorf("generateMatrixArena accepted %s", name)
 		}
 		if _, _, err := GenerateCSRArena(context.Background(), nil, s, net, 1, 1, p); err == nil {
 			t.Errorf("GenerateCSRArena accepted %s", name)

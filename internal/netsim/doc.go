@@ -72,11 +72,11 @@
 // fixes a worker-count-independent partition of its workload; the
 // engine fans the chunk indices across a worker pool, seeding chunk
 // k's RNG from (seed, k) by splitmix64. Workers accumulate into
-// private stores — per-chunk trace slots, per-worker sparse COO
-// shards merged by matrix.MergeCOOArena, or (streaming) chunk-local
-// per-window buffers handed to a matrix.WindowCompactor once per
-// chunk — and every store compacts by a counting sort that sums
-// duplicates as integers, which is order-insensitive. So for a given
+// private stores — per-chunk trace slots, or the sparse fold's
+// chunk-local per-window buffers (handed to a matrix.WindowCompactor
+// once per chunk) and per-worker remainder COOs — and every store
+// compacts by a counting sort that sums duplicates as integers,
+// which is order-insensitive. So for a given
 // (scenario, network, seed, params) the aggregate output is
 // bit-identical on 1 worker or N.
 //
@@ -92,8 +92,9 @@
 //     dense views (Windows, Matrix, Assoc, Between) and the sparse
 //     ones (Trace.WindowsCSRArena, Trace.SparseMatrixArena) read it.
 //   - GenerateCSRArena folds the run straight into the aggregate CSR
-//     without building a trace.
-//   - StreamCSRArena is its windowed, bounded-memory sibling: it
+//     without building a trace: it is StreamCSRArena's fold run with
+//     no windows.
+//   - StreamCSRArena is its windowed, bounded-memory form: it
 //     folds events into an incremental per-window compactor, with no
 //     lock per event, and hands each window's CSR to a callback the
 //     moment it seals — long before the run completes — then returns

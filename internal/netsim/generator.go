@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/matrix"
 )
 
 // The concurrent generation engine. A scenario partitions its
@@ -17,9 +15,10 @@ import (
 // is generated with a private RNG seeded from (seed, chunk), so the
 // set of events produced is a pure function of the configuration —
 // never of the worker count or of scheduling order. Workers
-// accumulate into private stores (a per-chunk trace slot, or a
-// per-worker COO shard) that are merged order-insensitively at the
-// end, which is what makes the aggregate output deterministic.
+// accumulate into private stores (a per-chunk trace slot, or the
+// sparse fold's per-window buffers and per-worker remainder COO, see
+// stream.go) that are combined order-insensitively at the end, which
+// is what makes the aggregate output deterministic.
 
 // Stats summarizes one generation run. All fields are sums over
 // chunks, so they are identical for any worker count.
@@ -170,88 +169,4 @@ func GenerateTraceArena(ctx context.Context, a *Arena, s Scenario, net *Network,
 	}
 	trace.Sort()
 	return trace, nil
-}
-
-// generateMatrixArena generates the scenario and aggregates it
-// straight into a sparse traffic matrix, skipping trace
-// materialization: each worker streams its chunks' events into a
-// private COO shard, and the shards are merged and compacted by
-// matrix.MergeCOOArena. Because duplicate COO coordinates sum on
-// compaction, the merged matrix is identical for any worker count.
-// Events naming hosts outside the network axis are counted in
-// Stats.Dropped, mirroring Trace.Matrix. Cancellation reaches both
-// sharded loops: the chunk workers stop claiming work and the merge
-// aborts between shard compactions.
-//
-// The shards and the merged output's storage are pooled in the arena
-// (nil allocates fresh — identical output either way). The shards
-// release into the arena here; the returned COO is arena-backed, so
-// the caller must Release it after its last use (ToCSR first when
-// the triples need to outlive it — GenerateCSRArena does exactly
-// that).
-func generateMatrixArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.COO, Stats, error) {
-	chunks, workers, pd, err := planRun(s, net, workers, p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	n := net.Len()
-	hint := divHint(eventBudget(pd), workers)
-	shards := make([]*matrix.COO, workers)
-	partial := make([]Stats, workers)
-	for w := range shards {
-		shards[w] = matrix.NewCOOIn(a.Matrix(), n, n, hint)
-	}
-	err = runChunks(ctx, chunks, workers, seed, func(w, k int, rng *rand.Rand) error {
-		acc, st := shards[w], &partial[w]
-		return s.Emit(net, rng, pd, k, func(e Event) {
-			st.Events++
-			st.Packets += e.Packets
-			i, iok := net.Index(e.Src)
-			j, jok := net.Index(e.Dst)
-			if !iok || !jok {
-				st.Dropped += e.Packets
-				return
-			}
-			acc.Add(i, j, e.Packets)
-		})
-	})
-	if err != nil {
-		releaseShards(shards)
-		return nil, Stats{}, err
-	}
-	merged, err := matrix.MergeCOOArena(ctx, a.Matrix(), shards...)
-	if err != nil {
-		releaseShards(shards)
-		return nil, Stats{}, err
-	}
-	// The merge copies every triple, so the shards' slabs are
-	// unreachable now.
-	releaseShards(shards)
-	var stats Stats
-	for _, st := range partial {
-		stats.Events += st.Events
-		stats.Packets += st.Packets
-		stats.Dropped += st.Dropped
-	}
-	return merged, stats, nil
-}
-
-// GenerateCSRArena is the fully sparse end-to-end path: it generates
-// the scenario into sharded COO accumulators and converts the merged
-// result straight to CSR. The merge leaves the triples compacted, so
-// the conversion is a single linear pass — no dense n²
-// materialization happens anywhere between event emission and the
-// analysis layer, which consumes the CSR through the matrix.Matrix
-// accessor interface. Every intermediate — worker shards and the
-// merged COO — is pooled in the arena (nil allocates fresh); the
-// returned CSR's arrays are always freshly allocated and permanently
-// the caller's, so it is safe to cache or stream.
-func GenerateCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.CSR, Stats, error) {
-	coo, stats, err := generateMatrixArena(ctx, a, s, net, seed, workers, p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	csr := coo.ToCSR()
-	coo.Release()
-	return csr, stats, nil
 }

@@ -67,7 +67,7 @@ func TestGenerationDeterministicAcrossWorkers(t *testing.T) {
 		if len(serialTrace) == 0 {
 			t.Fatalf("%s: empty trace", s.Name())
 		}
-		serialCOO, serialStats, err := generateMatrixArena(context.Background(), nil, s, net, seed, 1, p)
+		serialCSR, serialStats, err := GenerateCSRArena(context.Background(), nil, s, net, seed, 1, p)
 		if err != nil {
 			t.Fatalf("%s: serial matrix: %v", s.Name(), err)
 		}
@@ -79,14 +79,14 @@ func TestGenerationDeterministicAcrossWorkers(t *testing.T) {
 			if !reflect.DeepEqual(trace, serialTrace) {
 				t.Fatalf("%s: %d-worker trace differs from serial", s.Name(), workers)
 			}
-			coo, stats, err := generateMatrixArena(context.Background(), nil, s, net, seed, workers, p)
+			csr, stats, err := GenerateCSRArena(context.Background(), nil, s, net, seed, workers, p)
 			if err != nil {
 				t.Fatalf("%s: %d-worker matrix: %v", s.Name(), workers, err)
 			}
 			if stats != serialStats {
 				t.Fatalf("%s: %d-worker stats %+v differ from serial %+v", s.Name(), workers, stats, serialStats)
 			}
-			if !reflect.DeepEqual(coo.Entries(), serialCOO.Entries()) {
+			if !reflect.DeepEqual(csr, serialCSR) {
 				t.Fatalf("%s: %d-worker matrix differs from serial", s.Name(), workers)
 			}
 		}
@@ -95,7 +95,7 @@ func TestGenerationDeterministicAcrossWorkers(t *testing.T) {
 
 // TestGenerateMatrixMatchesTrace checks the two generation paths
 // agree: aggregating the trace must give the same dense matrix as
-// the sharded COO accumulation.
+// the sparse fold.
 func TestGenerateMatrixMatchesTrace(t *testing.T) {
 	net := StandardNetwork()
 	p := Params{Duration: 30, Rate: 5, Scale: 2}
@@ -105,12 +105,12 @@ func TestGenerateMatrixMatchesTrace(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		fromTrace, dropped := trace.Matrix(net)
-		coo, stats, err := generateMatrixArena(context.Background(), nil, s, net, 99, 4, p)
+		csr, stats, err := GenerateCSRArena(context.Background(), nil, s, net, 99, 4, p)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if !fromTrace.Equal(coo.ToDense()) {
-			t.Errorf("%s: COO aggregate differs from trace aggregate", s.Name())
+		if !fromTrace.Equal(csr.ToDense()) {
+			t.Errorf("%s: CSR aggregate differs from trace aggregate", s.Name())
 		}
 		if stats.Events != len(trace) || stats.Dropped != dropped {
 			t.Errorf("%s: stats %+v vs trace events=%d dropped=%d", s.Name(), stats, len(trace), dropped)
@@ -126,11 +126,11 @@ func TestGenerateMatrixMatchesTrace(t *testing.T) {
 func TestScaleMultipliesVolume(t *testing.T) {
 	net := StandardNetwork()
 	s, _ := LookupScenario("ddos")
-	_, one, err := generateMatrixArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 1})
+	_, one, err := GenerateCSRArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, four, err := generateMatrixArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 4})
+	_, four, err := GenerateCSRArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %q missing", name)
 		}
-		coo, _, err := generateMatrixArena(context.Background(), nil, s, net, 31, 4, Params{})
+		csr, _, err := GenerateCSRArena(context.Background(), nil, s, net, 31, 4, Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, conf := patterns.ClassifyBehaviorOf(coo.ToDense(), zones)
+		got, conf := patterns.ClassifyBehaviorOf(csr.ToDense(), zones)
 		if got != behavior {
 			t.Errorf("%s classified as %v (%.2f), want %v", name, got, conf, behavior)
 		}
@@ -180,11 +180,11 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 	}
 	// The flash crowd is also the live internal supernode of Fig 6c.
 	s, _ := LookupScenario("flashcrowd")
-	coo, _, err := generateMatrixArena(context.Background(), nil, s, net, 31, 4, Params{})
+	csr, _, err := GenerateCSRArena(context.Background(), nil, s, net, 31, 4, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := patterns.ClassifyTopologyOf(coo.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
+	if kind := patterns.ClassifyTopologyOf(csr.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
 		t.Errorf("flashcrowd topology = %v, want internal supernode", kind)
 	}
 }
@@ -228,7 +228,7 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := GenerateTraceArena(context.Background(), nil, s, nil, 1, 1, Params{}); err == nil {
 		t.Error("nil network accepted")
 	}
-	if _, _, err := generateMatrixArena(context.Background(), nil, nil, net, 1, 1, Params{}); err == nil {
+	if _, _, err := GenerateCSRArena(context.Background(), nil, nil, net, 1, 1, Params{}); err == nil {
 		t.Error("nil scenario accepted for matrix")
 	}
 	// An undersized cast must error through the concurrent path too,
@@ -245,7 +245,7 @@ func TestGenerateErrors(t *testing.T) {
 		if _, err := GenerateTraceArena(context.Background(), nil, s, small, 1, workers, Params{Scale: 8}); err == nil {
 			t.Errorf("undersized network accepted at %d workers", workers)
 		}
-		if _, _, err := generateMatrixArena(context.Background(), nil, s, small, 1, workers, Params{Scale: 8}); err == nil {
+		if _, _, err := GenerateCSRArena(context.Background(), nil, s, small, 1, workers, Params{Scale: 8}); err == nil {
 			t.Errorf("undersized network accepted for matrix at %d workers", workers)
 		}
 	}

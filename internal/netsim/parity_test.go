@@ -33,15 +33,18 @@ func TestCatalogCSRAnalysisParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coo, _, err := generateMatrixArena(context.Background(), nil, s, net, 42, 0, Params{})
+				csr, _, err := GenerateCSRArena(context.Background(), nil, s, net, 42, 0, Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				csr := coo.ToCSR()
-				dense := coo.ToDense()
+				trace, err := GenerateTraceArena(context.Background(), nil, s, net, 42, 0, Params{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dense, _ := trace.Matrix(net)
 
 				if !csr.ToDense().Equal(dense) {
-					t.Fatalf("hosts=%d: CSR densifies differently from COO", net.Len())
+					t.Fatalf("hosts=%d: CSR densifies differently from the trace's dense fold", net.Len())
 				}
 
 				dp, cp := matrix.ProfileOf(dense), matrix.ProfileOf(csr)
@@ -91,42 +94,28 @@ func TestCatalogCSRAnalysisParity(t *testing.T) {
 	}
 }
 
-// TestGenerateCSRMatchesGenerateMatrix pins the convenience wrapper:
-// same seed, same stats, same matrix.
-func TestGenerateCSRMatchesGenerateMatrix(t *testing.T) {
+// TestGenerateCSRMatchesSparseTraceFold pins the sparse fold to the
+// materialized trace folded by Trace.SparseMatrixArena (twsim's
+// aggregate path): same seed, same dropped volume, bit-identical CSR.
+func TestGenerateCSRMatchesSparseTraceFold(t *testing.T) {
 	s, ok := LookupScenario("ddos")
 	if !ok {
 		t.Fatal("ddos scenario missing")
 	}
 	net := ScaledNetwork(32)
-	coo, wantStats, err := generateMatrixArena(context.Background(), nil, s, net, 7, 3, Params{})
+	csr, stats, err := GenerateCSRArena(context.Background(), nil, s, net, 7, 3, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr, gotStats, err := GenerateCSRArena(context.Background(), nil, s, net, 7, 3, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotStats != wantStats {
-		t.Errorf("stats = %+v, want %+v", gotStats, wantStats)
-	}
-	if !csr.ToDense().Equal(coo.ToDense()) {
-		t.Error("GenerateCSRArena matrix differs from generateMatrixArena")
-	}
-	if csr.NNZ() != coo.Compact().Len() {
-		t.Errorf("nnz = %d, want %d", csr.NNZ(), coo.Compact().Len())
-	}
-	// Folding the materialized trace (twsim's aggregate path) must
-	// agree with direct sparse generation.
 	trace, err := GenerateTraceArena(context.Background(), nil, s, net, 7, 3, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	folded, dropped := trace.SparseMatrixArena(nil, net)
-	if dropped != wantStats.Dropped {
-		t.Errorf("SparseMatrixArena dropped = %d, want %d", dropped, wantStats.Dropped)
+	if dropped != stats.Dropped {
+		t.Errorf("SparseMatrixArena dropped = %d, want %d", dropped, stats.Dropped)
 	}
-	if !folded.ToDense().Equal(coo.ToDense()) {
-		t.Error("Trace.SparseMatrixArena differs from generateMatrixArena aggregate")
+	if !reflect.DeepEqual(folded, csr) {
+		t.Error("Trace.SparseMatrixArena differs from the GenerateCSRArena aggregate")
 	}
 }

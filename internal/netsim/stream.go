@@ -11,27 +11,29 @@ import (
 	"repro/internal/matrix"
 )
 
-// The streaming generation engine. The batch engine (generator.go)
-// materializes every event before any analysis runs, so memory scales
-// with duration×rate and nothing is observable mid-run.
-// StreamCSRArena keeps the same chunked determinism contract while
-// bounding builder memory by chunk and open-window size instead of
-// trace size (the sealed windows' compacted CSRs stay referenced
-// until the aggregate is summed from them): each chunk's events go to
-// an incremental per-window compactor (matrix.WindowCompactor), which
+// The sparse generation engine: one event fold behind both CSR entry
+// points. GenerateCSRArena runs it with no windows; StreamCSRArena
+// runs it with fixed-length aggregation windows and bounds builder
+// memory by chunk and open-window size instead of trace size (the
+// sealed windows' compacted CSRs stay referenced until the aggregate
+// is summed from them). Each chunk's windowed events go to an
+// incremental per-window compactor (matrix.WindowCompactor), which
 // finalizes each window — sealed CSR, in order — as soon as every
 // chunk that could touch it has finished, using the ChunkSpanner
 // time-locality contract. Time-to-first-window drops from O(run) to
-// O(window) for time-local scenarios.
+// O(window) for time-local scenarios. In-axis events outside every
+// window (all of them, when there are none) go to the running
+// worker's private remainder COO.
 //
 // Determinism survives because a window's CSR is a pure function of
 // the event multiset that lands in it: chunks derive all randomness
 // from (seed, chunk), window membership depends only on each event's
 // own timestamp, and COO compaction sorts by coordinate and sums
 // integers — commutative — so any worker count, any arrival order and
-// any batching compact to bit-identical windows. The batch-vs-stream parity suite
-// (stream_test.go) pins this across the catalog, composed specs, and
-// workers 1/4/16.
+// any batching compact to bit-identical windows, and the aggregate
+// summed from them and the remainders is bit-identical too. The
+// stream-vs-trace parity suite (stream_test.go) pins this across the
+// catalog, composed specs, and workers 1/4/16.
 
 // windowBuf is one chunk's contribution to one window, buffered by
 // the worker running the chunk and handed to the compactor whole.
@@ -39,6 +41,23 @@ type windowBuf struct {
 	entries []matrix.Entry
 	events  int
 	dropped int
+}
+
+// GenerateCSRArena folds the scenario straight into its aggregate
+// traffic matrix, skipping trace materialization: it is
+// StreamCSRArena's fold with no windows, so each worker sums its
+// chunks' in-axis events into a private COO, the workers' COOs
+// compact concurrently, and one counting sort sums them. No dense n²
+// materialization happens anywhere between event emission and the
+// analysis layer, which consumes the CSR through the matrix.Matrix
+// accessor interface. Events naming hosts outside the network axis
+// are counted in Stats.Dropped, mirroring Trace.Matrix. Every
+// intermediate is pooled in the arena (nil allocates fresh —
+// identical output either way); the returned CSR's arrays are always
+// freshly allocated and permanently the caller's, so it is safe to
+// cache or stream.
+func GenerateCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.CSR, Stats, error) {
+	return fold(ctx, a, s, net, seed, workers, p, 0, 0, nil)
 }
 
 // StreamCSRArena generates the scenario and streams its fixed-length
@@ -49,12 +68,11 @@ type windowBuf struct {
 // with the same windowLen and horizon, for any worker count. A
 // horizon ≤ 0 uses the configured duration. The whole-run aggregate
 // is summed from the sealed windows plus the in-axis events that fall
-// outside every window (a horizon shorter than the run), so every
-// event is sorted once; integer sums make it bit-identical to
-// GenerateCSRArena's. It is returned as CSR with the run stats once
-// the stream completes. An onWindow error or a cancelled ctx stops
-// generation at chunk granularity and is returned; windows already
-// delivered stay delivered.
+// outside every window (a horizon shorter than the run), so it is
+// bit-identical to GenerateCSRArena's. It is returned as CSR with the
+// run stats once the stream completes. An onWindow error or a
+// cancelled ctx stops generation at chunk granularity and is
+// returned; windows already delivered stay delivered.
 //
 // No lock is taken per event. Each worker folds a chunk's events
 // into chunk-local per-window buffers, reused across its chunks, and
@@ -62,55 +80,65 @@ type windowBuf struct {
 // when the chunk ends, before releasing the chunk's windows.
 //
 // The window compactor's per-window shards, the workers' chunk
-// buffers and the aggregate's builder are pooled in the arena (nil
-// allocates fresh — bit-identical windows either way). Window
-// builders recycle at Seal, chunk buffers and the aggregate builder
-// when the run ends; the sealed window CSRs and the returned
-// aggregate CSR are always freshly allocated and the consumer's
-// forever (the run only reads the sealed windows back to sum the
-// aggregate). On an error mid-run, builders of never-sealed windows
-// are left to the GC rather than reclaimed — safe, since pooling is
-// only an optimization and error paths are off the steady-state loop.
+// buffers and remainders, and the aggregate's builder are pooled in
+// the arena (nil allocates fresh — bit-identical windows either way).
+// Window builders recycle at Seal, chunk buffers, remainders and the
+// aggregate builder when the run ends; the sealed window CSRs and
+// the returned aggregate CSR are always freshly allocated and the
+// consumer's forever (the run only reads the sealed windows back to
+// sum the aggregate). On an error mid-run, builders of never-sealed
+// windows are left to the GC rather than reclaimed — safe, since
+// pooling is only an optimization and error paths are off the
+// steady-state loop.
 func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
 	if windowLen <= 0 {
 		return nil, Stats{}, fmt.Errorf("netsim: window length must be positive, got %g", windowLen)
 	}
+	return fold(ctx, a, s, net, seed, workers, p, windowLen, horizon, onWindow)
+}
+
+// fold runs the scenario's chunks on the worker pool and sums every
+// event into the aggregate CSR it returns with the run stats. A
+// windowLen > 0 also seals ⌈horizon/windowLen⌉ windows through
+// onWindow, as StreamCSRArena documents; windowLen 0 runs none, so
+// every in-axis event lands in a worker's remainder.
+func fold(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
 	chunks, workers, pd, err := planRun(s, net, workers, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if horizon <= 0 {
-		horizon = pd.Duration
-	}
-	nw := int(math.Ceil(horizon / windowLen))
-	if nw < 1 {
-		nw = 1
+	nw := 0
+	if windowLen > 0 {
+		if horizon <= 0 {
+			horizon = pd.Duration
+		}
+		nw = max(1, int(math.Ceil(horizon/windowLen)))
 	}
 	n := net.Len()
 
 	// Resolve every chunk's conservative window range once, and count
 	// how many chunks can touch each window (difference array keeps
 	// this O(chunks + windows)). pending[w] hitting zero is the signal
-	// that window w is sealed.
+	// that window w is sealed. With no windows every range is the
+	// empty [0, -1].
 	lo := make([]int32, chunks)
 	hi := make([]int32, chunks)
 	diff := make([]int32, nw+1)
 	for k := 0; k < chunks; k++ {
-		start, end := chunkSpan(s, net, pd, k)
-		wlo := 0
-		if w, ok := windowIndex(start, windowLen, horizon, nw); ok {
-			wlo = w
-		}
-		whi := nw - 1
-		if w, ok := windowIndex(end, windowLen, horizon, nw); ok {
-			whi = w
-		}
-		if whi < wlo {
-			whi = wlo
+		wlo, whi := 0, nw-1
+		if nw > 0 {
+			start, end := chunkSpan(s, net, pd, k)
+			if w, ok := windowIndex(start, windowLen, horizon, nw); ok {
+				wlo = w
+			}
+			if w, ok := windowIndex(end, windowLen, horizon, nw); ok {
+				whi = w
+			}
+			whi = max(whi, wlo)
+			diff[wlo]++
+			diff[whi+1]--
 		}
 		lo[k], hi[k] = int32(wlo), int32(whi)
-		diff[wlo]++
-		diff[whi+1]--
 	}
 	pending := make([]atomic.Int32, nw)
 	run := int32(0)
@@ -123,9 +151,24 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 	compactor := matrix.NewWindowCompactorArena(a.Matrix(), n, n, nw, divHint(budget, nw))
 	// bufs[w] are worker w's chunk-local window buffers: slot i holds
 	// the current chunk's contribution to window lo[k]+i. rest[w] holds
-	// worker w's in-axis events outside every window.
+	// worker w's in-axis events outside every window: the whole run
+	// without windows, so only then is it pre-sized. A served windowed
+	// run's horizon is its duration, which leaves the remainder empty,
+	// and a slab sized for the run would stay pooled for nothing.
 	bufs := make([][]windowBuf, workers)
-	rest := make([][]matrix.Entry, workers)
+	rest := make([]*matrix.COO, workers)
+	restHint := 0
+	if nw == 0 {
+		restHint = divHint(budget, workers)
+	}
+	for w := range rest {
+		rest[w] = matrix.NewCOOIn(a.Matrix(), n, n, restHint)
+	}
+	defer func() {
+		for _, r := range rest {
+			r.Release()
+		}
+	}()
 	partial := make([]Stats, workers)
 	bufHint := divHint(budget, chunks)
 
@@ -177,7 +220,7 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 	}
 
 	err = runChunks(ctx, chunks, workers, seed, func(w, k int, rng *rand.Rand) error {
-		st := &partial[w]
+		st, r := &partial[w], rest[w]
 		klo, khi := int(lo[k]), int(hi[k])
 		for len(bufs[w]) <= khi-klo {
 			bufs[w] = append(bufs[w], windowBuf{entries: a.Matrix().GetEntries(divHint(bufHint, khi-klo+1))})
@@ -192,10 +235,13 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 			if !inAxis {
 				st.Dropped += e.Packets
 			}
-			wi, ok := windowIndex(e.Time, windowLen, horizon, nw)
+			wi, ok := 0, nw > 0
+			if ok {
+				wi, ok = windowIndex(e.Time, windowLen, horizon, nw)
+			}
 			if !ok {
 				if inAxis {
-					rest[w] = append(rest[w], matrix.Entry{Row: i, Col: j, Val: e.Packets})
+					r.Add(i, j, e.Packets)
 				}
 				return
 			}
@@ -259,21 +305,34 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 		return nil, Stats{}, err
 	}
 
-	// The aggregate: every sealed window's cells plus the remainder,
-	// in one builder sized up front and compacted once.
+	// Each worker's remainder compacts on its own goroutine, so the
+	// aggregate below sorts cells rather than events: every sealed
+	// window's cells plus the compacted remainders, in one builder
+	// sized up front and compacted once.
+	var wg sync.WaitGroup
+	for _, r := range rest {
+		if r.Len() > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.Compact()
+			}()
+		}
+	}
+	wg.Wait()
 	total := 0
 	for _, m := range sealed {
 		total += m.NNZ()
 	}
 	for _, r := range rest {
-		total += len(r)
+		total += r.Len()
 	}
 	agg := matrix.NewCOOIn(a.Matrix(), n, n, total)
 	for _, m := range sealed {
 		agg.AddCSR(m)
 	}
 	for _, r := range rest {
-		agg.AddEntries(r)
+		agg.AddEntries(r.Entries())
 	}
 	var stats Stats
 	for _, st := range partial {

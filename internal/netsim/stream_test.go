@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/matrix"
 )
 
 // batchWindows computes the reference spatial-temporal view the
@@ -28,6 +30,14 @@ func batchWindows(t *testing.T, s Scenario, net *Network, seed int64, p Params, 
 	return wins
 }
 
+// traceAggregate is the fold's independent aggregate oracle: the
+// materialized trace folded by Trace.SparseMatrixArena, with the
+// Stats read off the trace.
+func traceAggregate(trace Trace, net *Network) (*matrix.CSR, Stats) {
+	csr, dropped := trace.SparseMatrixArena(nil, net)
+	return csr, Stats{Events: len(trace), Packets: trace.TotalPackets(), Dropped: dropped}
+}
+
 // collectStream runs StreamCSRArena and gathers the delivered windows,
 // asserting in-order delivery as it goes.
 func collectStream(t *testing.T, s Scenario, net *Network, seed int64, workers int, p Params, windowLen float64) []SparseWindow {
@@ -44,13 +54,14 @@ func collectStream(t *testing.T, s Scenario, net *Network, seed int64, workers i
 		t.Fatalf("StreamCSRArena(%s): %v", SpecString(s), err)
 	}
 
-	// The aggregate and stats must match the batch sparse path exactly.
-	wantCSR, wantStats, err := GenerateCSRArena(context.Background(), nil, s, net, seed, 4, p)
+	// The aggregate and stats must match the trace's exactly.
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, seed, 4, p)
 	if err != nil {
-		t.Fatalf("GenerateCSRArena(%s): %v", SpecString(s), err)
+		t.Fatalf("GenerateTraceArena(%s): %v", SpecString(s), err)
 	}
+	wantCSR, wantStats := traceAggregate(trace, net)
 	if !reflect.DeepEqual(csr, wantCSR) {
-		t.Errorf("%s: streamed aggregate CSR differs from GenerateCSRArena", SpecString(s))
+		t.Errorf("%s: streamed aggregate CSR differs from the trace fold", SpecString(s))
 	}
 	if stats != wantStats {
 		t.Errorf("%s: streamed stats = %+v, want %+v", SpecString(s), stats, wantStats)
@@ -83,7 +94,7 @@ func compareWindows(t *testing.T, label string, got, want []SparseWindow) {
 // catalog: for every entry, for workers 1, 4 and 16, and for three
 // window lengths (including one that does not divide the duration),
 // the streamed windows are bit-identical to the batch WindowsCSRArena
-// view and the aggregate matches GenerateCSRArena.
+// view and the aggregate matches the trace fold.
 func TestStreamCSRCatalogParity(t *testing.T) {
 	net := StandardNetwork()
 	p := Params{Duration: 20, Rate: 6}
@@ -193,7 +204,7 @@ func (h horizonScenario) Emit(net *Network, rng *rand.Rand, p Params, chunk int,
 // a horizon shorter than the run, in-axis events past the last window
 // reach the aggregate only through the remainder, and events at
 // exactly t = horizon land in the final window. The streamed
-// aggregate and Stats must equal GenerateCSRArena's (which ignores
+// aggregate and Stats must equal the trace fold's (which ignores
 // windows) and the windows must equal the batch view over the same
 // horizon, for workers 1, 4 and 16, pooled or not. Horizons 15 (a
 // whole number of windows, so t = horizon sits on the last window's
@@ -205,14 +216,11 @@ func TestStreamCSRHorizonParity(t *testing.T) {
 	arena := NewArena()
 	for _, horizon := range []float64{15, 12.5} {
 		s := horizonScenario{horizon: horizon}
-		wantCSR, wantStats, err := GenerateCSRArena(context.Background(), nil, s, net, 31, 4, p)
-		if err != nil {
-			t.Fatalf("GenerateCSRArena: %v", err)
-		}
 		trace, err := GenerateTraceArena(context.Background(), nil, s, net, 31, 4, p)
 		if err != nil {
 			t.Fatalf("GenerateTraceArena: %v", err)
 		}
+		wantCSR, wantStats := traceAggregate(trace, net)
 		wantWins, err := trace.WindowsCSRArena(context.Background(), nil, net, windowLen, horizon)
 		if err != nil {
 			t.Fatalf("WindowsCSRArena: %v", err)
@@ -243,7 +251,7 @@ func TestStreamCSRHorizonParity(t *testing.T) {
 				}
 				label := fmt.Sprintf("horizon %g workers %d pooled %v", horizon, workers, a != nil)
 				if !reflect.DeepEqual(csr, wantCSR) {
-					t.Errorf("%s: aggregate CSR differs from GenerateCSRArena", label)
+					t.Errorf("%s: aggregate CSR differs from the trace fold", label)
 				}
 				if !reflect.DeepEqual(stats, wantStats) {
 					t.Errorf("%s: stats = %+v, want %+v", label, stats, wantStats)
