@@ -145,12 +145,12 @@ func TestGenerateEndpointCancellation(t *testing.T) {
 
 	// The aborted run must not have been cached: a fresh stats probe
 	// shows no entries.
-	resp, err := http.Get(srv.URL + "/v1/cache")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	stats := decode[api.CacheStats](t, resp)
+	stats := decode[api.StatsReport](t, resp).Cache
 	if stats.Len != 0 {
 		t.Errorf("cancelled request left %d cache entries", stats.Len)
 	}
@@ -244,8 +244,8 @@ func TestStatsEndpointReportsFleet(t *testing.T) {
 	if rep.Version != api.Version || rep.Cluster != nil {
 		t.Fatalf("single-service stats = version %q, cluster %+v", rep.Version, rep.Cluster)
 	}
-	if rep.Cache.Len != 3 || len(rep.Cache.Shards) != 0 {
-		t.Errorf("cache holds %d cached runs with %d shards, want 3 and no breakdown", rep.Cache.Len, len(rep.Cache.Shards))
+	if rep.Cache.Len != 3 {
+		t.Errorf("cache holds %d cached runs, want 3", rep.Cache.Len)
 	}
 }
 
@@ -452,12 +452,12 @@ func TestGenerateStreamEndpointHangup(t *testing.T) {
 	}
 
 	// And the cache must be untouched: the hangup inserted nothing.
-	cresp, err := http.Get(srv.URL + "/v1/cache")
+	cresp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cresp.Body.Close()
-	if stats := decode[api.CacheStats](t, cresp); stats.Len != 0 {
+	if stats := decode[api.StatsReport](t, cresp).Cache; stats.Len != 0 {
 		t.Errorf("hung-up stream left %d cache entries", stats.Len)
 	}
 }
@@ -485,12 +485,12 @@ func TestGenerateStreamEndpointBypassesCache(t *testing.T) {
 		t.Fatalf("stream produced %d frames, want meta+2 windows+summary", frames)
 	}
 
-	cresp, err := http.Get(srv.URL + "/v1/cache")
+	cresp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cresp.Body.Close()
-	stats := decode[api.CacheStats](t, cresp)
+	stats := decode[api.StatsReport](t, cresp).Cache
 	if stats.Len != 1 || stats.Hits != 0 {
 		t.Errorf("stream touched the cache: %+v", stats)
 	}

@@ -1,9 +1,9 @@
 // Composition walkthrough: the scenario algebra that takes the
 // catalog from eight fixed scripts to an unbounded exercise space.
-// Build a mixture three ways — combinators in Go, a declarative spec
-// expression, and a runtime catalog registration — then disentangle
-// it with the mixture classifier and verify that relabeling hosts is
-// exactly a matrix permutation.
+// Build a mixture two ways — combinators in Go and a declarative
+// spec expression — then disentangle it with the mixture classifier,
+// verify that relabeling hosts is exactly a matrix permutation, and
+// reuse the mixture inside a larger spec by its expression.
 package main
 
 import (
@@ -86,14 +86,11 @@ func main() {
 	}
 	fmt.Printf("\nRelabel == PermuteCSR: %v\n", reflect.DeepEqual(relabeled, permuted))
 
-	// 4. Register the mixture into the catalog at runtime; later
-	// specs reference it by name like any built-in.
-	if _, err := netsim.RegisterSpec("layered-ddos", "scan then DDoS under chatter", composed.Name()); err != nil {
-		log.Fatal(err)
-	}
-	nested, err := netsim.ParseSpec("amplify(layered-ddos, 2)")
+	// 4. Reuse the mixture by expression: the catalog is fixed, and
+	// a composed scenario's name nests in any larger spec.
+	nested, err := netsim.ParseSpec("amplify(" + composed.Name() + ", 2)")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("registered and reused:", nested.Name())
+	fmt.Println("reused by expression:", nested.Name())
 }

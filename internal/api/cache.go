@@ -6,8 +6,8 @@ import (
 )
 
 // CacheStats is a point-in-time snapshot of the result cache's
-// counters, served by twserve for observability and pinned by the
-// cache behavior tests.
+// counters, served inside /v1/stats and pinned by the cache behavior
+// tests.
 type CacheStats struct {
 	// Hits and Misses count lookups since the service was built.
 	Hits   uint64 `json:"hits"`
@@ -17,10 +17,6 @@ type CacheStats struct {
 	// Len and Capacity describe the current occupancy.
 	Len      int `json:"len"`
 	Capacity int `json:"capacity"`
-	// Shards is a cluster proxy's per-backend breakdown (one entry
-	// per backend, in ring order; the top-level counters are the live
-	// backends' sums). A single service omits it.
-	Shards []CacheStats `json:"shards,omitempty"`
 }
 
 // lruCache is the bounded result cache: a mutex-guarded map plus

@@ -29,7 +29,6 @@ type Core interface {
 	PlayerMastery(ctx context.Context) (*MasteryResult, error)
 	Sessions() []SessionInfo
 	CancelSession(id int64) bool
-	CacheStats() CacheStats
 	Stats() StatsReport
 }
 

@@ -252,33 +252,15 @@ type CampaignRequest struct {
 	Scale    int     `json:"scale,omitempty"`
 }
 
-// resolveSpec turns a request's spec string into a scenario. Bare
-// names resolve against the catalog with a helpful listing on miss;
-// anything containing spec syntax goes through the composition
-// grammar. The filesystem is never touched.
+// resolveSpec turns a request's spec string — a bare catalog name or
+// a composition expression — into a scenario through netsim.ParseSpec.
+// The filesystem is never touched.
 func resolveSpec(spec string) (netsim.Scenario, error) {
-	spec = strings.TrimSpace(spec)
-	if s, ok := netsim.LookupScenario(spec); ok {
-		return s, nil
-	}
-	if !strings.ContainsAny(spec, "()@=,") {
-		return nil, fmt.Errorf("%w: unknown scenario %q; available: %s (or compose one with a spec expression)",
-			ErrInvalidRequest, spec, strings.Join(catalogNames(), ", "))
-	}
 	s, err := netsim.ParseSpec(spec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	return s, nil
-}
-
-// catalogNames lists the registered scenario names in catalog order.
-func catalogNames() []string {
-	var names []string
-	for _, s := range netsim.Scenarios() {
-		names = append(names, s.Name())
-	}
-	return names
 }
 
 // ResolveSpecArg resolves a CLI -spec argument — an inline

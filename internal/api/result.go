@@ -183,7 +183,6 @@ type ScenarioInfo struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`
 	Shape       string `json:"shape"`
-	Composite   bool   `json:"composite,omitempty"`
 }
 
 // PatternInfo is one figure-catalog panel in a CatalogResult.

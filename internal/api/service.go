@@ -44,6 +44,11 @@ type Service struct {
 	// the LRU cache hold them forever without the arena ever
 	// reclaiming a cached buffer.
 	arena *netsim.Arena
+	// scenarios resolves extra bare names before netsim's fixed
+	// catalog. Only in-package tests set it, to give one service a
+	// slow or counting scenario without touching the catalog every
+	// other service reads.
+	scenarios map[string]netsim.Scenario
 }
 
 // Option configures a Service under construction.
@@ -74,6 +79,15 @@ func New(opts ...Option) *Service {
 		s.players = player.NewEngine(player.NewMemStore())
 	}
 	return s
+}
+
+// resolveSpec resolves a request spec for this service: its own
+// scenario table first, then netsim.
+func (svc *Service) resolveSpec(spec string) (netsim.Scenario, error) {
+	if s, ok := svc.scenarios[spec]; ok {
+		return s, nil
+	}
+	return resolveSpec(spec)
 }
 
 // CacheStats snapshots the result cache counters.
@@ -137,7 +151,7 @@ func (svc *Service) cachedGenerate(ctx context.Context, req GenerateRequest) (re
 	if err := req.validate(); err != nil {
 		return nil, false, err
 	}
-	scn, err := resolveSpec(req.Spec)
+	scn, err := svc.resolveSpec(req.Spec)
 	if err != nil {
 		return nil, false, err
 	}
@@ -530,7 +544,7 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 	if err := gr.validate(); err != nil {
 		return nil, err
 	}
-	scn, err := resolveSpec(req.Spec)
+	scn, err := svc.resolveSpec(req.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -567,7 +581,7 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 	if err := gr.validate(); err != nil {
 		return nil, err
 	}
-	scn, err := resolveSpec(req.Spec)
+	scn, err := svc.resolveSpec(req.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -598,9 +612,8 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 func (svc *Service) Catalog(context.Context) *CatalogResult {
 	out := &CatalogResult{Version: Version}
 	for _, s := range netsim.Scenarios() {
-		_, composite := s.(netsim.Composite)
 		out.Scenarios = append(out.Scenarios, ScenarioInfo{
-			Name: s.Name(), Description: s.Description(), Shape: s.Shape(), Composite: composite,
+			Name: s.Name(), Description: s.Description(), Shape: s.Shape(),
 		})
 	}
 	for _, f := range patterns.Families() {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,8 +101,8 @@ func TestGenerateCacheEviction(t *testing.T) {
 }
 
 // slowScenario is a many-chunk, deliberately slow scenario for
-// cancellation and session-registry tests. Registered once so spec
-// resolution finds it.
+// cancellation and session-registry tests. Only the services
+// slowService builds resolve it.
 type slowScenario struct{}
 
 func (slowScenario) Name() string                              { return "api-slow-test" }
@@ -116,24 +115,67 @@ func (slowScenario) Emit(net *netsim.Network, rng *rand.Rand, p netsim.Params, c
 	return nil
 }
 
-var registerSlow sync.Once
+// withScenario builds a Service that also resolves s by name, ahead
+// of netsim's fixed catalog; no other service sees it.
+func withScenario(s netsim.Scenario) *Service {
+	svc := New()
+	svc.scenarios = map[string]netsim.Scenario{s.Name(): s}
+	return svc
+}
 
-func slowSpec(t *testing.T) string {
-	t.Helper()
-	registerSlow.Do(func() {
-		if err := netsim.Register(slowScenario{}); err != nil {
-			t.Fatal(err)
+// slowService is a fresh Service that serves slowScenario, and the
+// spec that names it.
+func slowService() (*Service, string) {
+	return withScenario(slowScenario{}), slowScenario{}.Name()
+}
+
+// TestInjectedScenarioStaysInItsService: lesson content never depends
+// on what else ran in the process. A fresh Service offers the same
+// module answers for a primitive and a composed spec before and after
+// another Service has run its injected slow scenario, and the slow
+// scenario's shape never turns up as a distractor.
+func TestInjectedScenarioStaysInItsService(t *testing.T) {
+	specs := []string{"scan", "overlay(background, scan)"}
+	answers := func() [][]string {
+		t.Helper()
+		svc := New()
+		var out [][]string
+		for _, spec := range specs {
+			m, err := svc.Module(context.Background(), ModuleRequest{Spec: spec, Seed: 1, Duration: 4})
+			if err != nil {
+				t.Fatalf("module %s: %v", spec, err)
+			}
+			out = append(out, m.Answers)
 		}
-	})
-	return "api-slow-test"
+		return out
+	}
+	before := answers()
+
+	slow, spec := slowService()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := slow.Generate(ctx, NewGenerateRequest(spec, WithWorkers(2))); err == nil {
+		t.Fatal("slow scenario finished inside 30ms; it did not run")
+	}
+
+	after := answers()
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("module answers changed after another service ran %s:\n before %q\n after  %q", spec, before, after)
+	}
+	for i, got := range after {
+		for _, a := range got {
+			if strings.Contains(a, slowScenario{}.Shape()) || strings.Contains(a, spec) {
+				t.Errorf("%s offers the injected scenario as an answer: %q", specs[i], a)
+			}
+		}
+	}
 }
 
 // TestCancelledContextNeverPoisonsCache is the satellite acceptance:
 // a request cancelled mid-generation leaves no cache entry, and the
 // same request later recomputes cleanly.
 func TestCancelledContextNeverPoisonsCache(t *testing.T) {
-	spec := slowSpec(t)
-	svc := New()
+	svc, spec := slowService()
 	req := NewGenerateRequest(spec, WithWorkers(2))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -172,8 +214,7 @@ func TestCancelledContextNeverPoisonsCache(t *testing.T) {
 // TestSessionsTrackAndCancelInFlight: in-flight work is visible in
 // the registry and abortable through it.
 func TestSessionsTrackAndCancelInFlight(t *testing.T) {
-	spec := slowSpec(t)
-	svc := New()
+	svc, spec := slowService()
 	errc := make(chan error, 1)
 	go func() {
 		_, err := svc.Generate(context.Background(), NewGenerateRequest(spec, WithWorkers(2)))
@@ -434,18 +475,11 @@ func (countScenario) Emit(net *netsim.Network, rng *rand.Rand, p netsim.Params, 
 	return nil
 }
 
-var registerCount sync.Once
-
 // TestConcurrentColdRequestsCoalesce: a thundering herd of identical
 // cold requests runs exactly one generation; everyone shares it.
 func TestConcurrentColdRequestsCoalesce(t *testing.T) {
-	registerCount.Do(func() {
-		if err := netsim.Register(countScenario{}); err != nil {
-			t.Fatal(err)
-		}
-	})
 	countEmits.Store(0)
-	svc := New()
+	svc := withScenario(countScenario{})
 	req := NewGenerateRequest("api-count-test", WithWorkers(2))
 	const herd = 8
 	results := make(chan *GenerateResult, herd)
@@ -536,8 +570,7 @@ func TestGenerateEventBudget(t *testing.T) {
 // session aborts every coalesced waiter — nobody re-elects a leader
 // and silently restarts work an operator just killed.
 func TestCancelSessionStopsCoalescedHerd(t *testing.T) {
-	spec := slowSpec(t)
-	svc := New()
+	svc, spec := slowService()
 	const herd = 4
 	errc := make(chan error, herd)
 	for i := 0; i < herd; i++ {

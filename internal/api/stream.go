@@ -220,7 +220,7 @@ func (svc *Service) GenerateStream(ctx context.Context, req GenerateRequest, emi
 	if req.Window <= 0 {
 		return fmt.Errorf("%w: streaming requires a positive window, got %g", ErrInvalidRequest, req.Window)
 	}
-	scn, err := resolveSpec(req.Spec)
+	scn, err := svc.resolveSpec(req.Spec)
 	if err != nil {
 		return err
 	}

@@ -159,9 +159,6 @@ func disentangleQuestion(s netsim.Scenario) quiz.Question {
 	sort.Strings(members)
 	var others []string
 	for _, entry := range netsim.Scenarios() {
-		if _, composed := entry.(netsim.Composite); composed {
-			continue // registered composites are answers, not shapes
-		}
 		if !inMix[entry.Name()] {
 			others = append(others, entry.Name())
 		}

@@ -366,19 +366,6 @@ func (c *Cluster) CancelSession(id int64) bool {
 	return false
 }
 
-// CacheStats is the cache view of Stats: the live backends' summed
-// counters, with one Shards entry per backend holding that backend's
-// own counters.
-func (c *Cluster) CacheStats() api.CacheStats {
-	rep := c.Stats()
-	agg := rep.Cache
-	agg.Shards = make([]api.CacheStats, len(rep.Cluster.Backends))
-	for i, b := range rep.Cluster.Backends {
-		agg.Shards[i] = b.Cache
-	}
-	return agg
-}
-
 // Stats aggregates /v1/stats across the backends: the top-level
 // counters are the live backends' sums, and Cluster lists each
 // backend's own. A failed probe reports its error in its BackendStats

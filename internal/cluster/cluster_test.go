@@ -2,11 +2,14 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,24 +17,24 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
-	"repro/internal/netsim"
 	"repro/internal/router"
 	"repro/internal/serve"
 )
 
 // fixture is one proxy topology: n real backend servers (each a full
-// serve mux over its own api.Service, exactly what `twserve` runs),
-// a Cluster fronting them, and the proxy's own HTTP server.
+// serve mux over its own api.Service, exactly what `twserve` runs,
+// plus the slow run of slowCore), a Cluster fronting them, and the
+// proxy's own HTTP server.
 type fixture struct {
-	svcs     []*api.Service
+	svcs     []*slowCore
 	backends []*httptest.Server
 	cl       *cluster.Cluster
 	proxy    *httptest.Server
 }
 
-func newBackend(t *testing.T) (*api.Service, *httptest.Server) {
+func newBackend(t *testing.T) (*slowCore, *httptest.Server) {
 	t.Helper()
-	svc := api.New()
+	svc := &slowCore{Service: api.New(), runs: make(map[int64]slowRun)}
 	srv := httptest.NewServer(serve.NewMux(svc))
 	t.Cleanup(srv.Close)
 	return svc, srv
@@ -87,30 +90,88 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
-// slowClusterScenario mirrors the router package's slow scenario so
-// drain and cancellation tests have a long run to observe.
-type slowClusterScenario struct{}
+// slowClusterSpec names a run that only the test backends serve:
+// slowCore holds it in flight for about a second, long enough for the
+// drain and cancellation tests to observe it.
+const slowClusterSpec = "cluster-slow-test"
 
-func (slowClusterScenario) Name() string                              { return "cluster-slow-test" }
-func (slowClusterScenario) Description() string                       { return "slow scenario for cluster tests" }
-func (slowClusterScenario) Shape() string                             { return "one cell, slowly" }
-func (slowClusterScenario) Chunks(*netsim.Network, netsim.Params) int { return 200 }
-func (slowClusterScenario) Emit(net *netsim.Network, rng *rand.Rand, p netsim.Params, chunk int, emit func(netsim.Event)) error {
-	time.Sleep(5 * time.Millisecond)
-	emit(netsim.Event{Time: 0, Src: "WS1", Dst: "SRV1", Packets: 1})
-	return nil
+// slowCore is the core every test backend serves. It embeds a real
+// api.Service, so every route stays real, except a generate of
+// slowClusterSpec: that run waits in a ctx-aware loop which the
+// core's own Sessions and CancelSession list and cancel, then answers
+// with a real scan result. netsim's catalog is never touched.
+type slowCore struct {
+	*api.Service
+	mu     sync.Mutex
+	lastID int64
+	runs   map[int64]slowRun
 }
 
-var registerSlowCluster sync.Once
+type slowRun struct {
+	info   api.SessionInfo
+	cancel context.CancelCauseFunc
+}
 
-func slowClusterSpec(t *testing.T) string {
-	t.Helper()
-	registerSlowCluster.Do(func() {
-		if err := netsim.Register(slowClusterScenario{}); err != nil {
-			t.Fatal(err)
+// slowIDBase keeps the slow runs' session IDs clear of the
+// embedded service's own.
+const slowIDBase = 1 << 40
+
+func (c *slowCore) Generate(ctx context.Context, req api.GenerateRequest) (*api.GenerateResult, error) {
+	if req.Spec != slowClusterSpec {
+		return c.Service.Generate(ctx, req)
+	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	c.mu.Lock()
+	c.lastID++
+	id := slowIDBase + c.lastID
+	c.runs[id] = slowRun{
+		info:   api.SessionInfo{ID: id, Kind: "generate", Key: slowClusterSpec, Started: time.Now()},
+		cancel: cancel,
+	}
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.runs, id)
+		c.mu.Unlock()
+		cancel(nil)
+	}()
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for i := 0; i < 200; i++ {
+		select {
+		case <-ctx.Done():
+			if cause := context.Cause(ctx); errors.Is(cause, api.ErrSessionCancelled) {
+				return nil, fmt.Errorf("%w", cause)
+			}
+			return nil, ctx.Err()
+		case <-tick.C:
 		}
-	})
-	return "cluster-slow-test"
+	}
+	return c.Service.Generate(ctx, api.GenerateRequest{Spec: "scan", Seed: req.Seed, Workers: 1, Duration: 2})
+}
+
+// Sessions lists the service's sessions, then the slow runs.
+func (c *slowCore) Sessions() []api.SessionInfo {
+	out := c.Service.Sessions()
+	c.mu.Lock()
+	for _, r := range c.runs {
+		out = append(out, r.info)
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// CancelSession cancels a slow run, or else the service's session.
+func (c *slowCore) CancelSession(id int64) bool {
+	c.mu.Lock()
+	r, ok := c.runs[id]
+	c.mu.Unlock()
+	if !ok {
+		return c.Service.CancelSession(id)
+	}
+	r.cancel(api.ErrSessionCancelled)
+	return true
 }
 
 // TestEmptyClusterAnswers503: the empty-ring satellite end to end —
@@ -275,7 +336,7 @@ func TestMembershipChangeUnderLoad(t *testing.T) {
 // flight blocks until that run completes (bounded by the drain
 // timeout), and the in-flight request itself succeeds.
 func TestRemoveBackendDrainsInflight(t *testing.T) {
-	spec := slowClusterSpec(t)
+	spec := slowClusterSpec
 	f := newFixture(t, 1)
 
 	var reqErr error
@@ -375,17 +436,6 @@ func TestClusterStatsAggregation(t *testing.T) {
 		t.Errorf("cluster totals = len %d misses %d, want %d and %d", rep.Cache.Len, rep.Cache.Misses, cached, totalMisses)
 	}
 
-	// The fleet-aggregate cache view composes the same way.
-	cresp, err := http.Get(f.proxy.URL + "/v1/cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cresp.Body.Close()
-	cs := decode[api.CacheStats](t, cresp)
-	if cs.Len != cached || len(cs.Shards) != 2 {
-		t.Errorf("proxy cache view = len %d (%d backend shards), want len %d over 2", cs.Len, len(cs.Shards), cached)
-	}
-
 	// A dead backend degrades its rollup entry, not the whole report.
 	f.backends[1].Close()
 	rep2 := f.cl.Stats()
@@ -412,7 +462,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 // process holding each run — IDs alone are ambiguous across
 // processes.
 func TestClusterSessionsTagBackends(t *testing.T) {
-	spec := slowClusterSpec(t)
+	spec := slowClusterSpec
 	f := newFixture(t, 2)
 
 	done := make(chan error, 1)

@@ -17,14 +17,10 @@ import (
 	"repro/internal/serve"
 )
 
-// catalogNames lists every registered scenario except the
-// test-support slow scenarios other tests in this binary register.
+// catalogNames lists the scenario catalog.
 func catalogNames() []string {
 	var names []string
 	for _, s := range netsim.Scenarios() {
-		if strings.HasSuffix(s.Name(), "-test") {
-			continue
-		}
 		names = append(names, s.Name())
 	}
 	return names
@@ -367,7 +363,7 @@ func cancelledRun(t *testing.T, base, spec string) string {
 // player script does not reach answers through the proxy exactly as
 // it does direct — status, Content-Type, Retry-After and body.
 func TestProxyErrorParity(t *testing.T) {
-	spec := slowClusterSpec(t)
+	spec := slowClusterSpec
 	_, direct := newBackend(t)
 	f := newFixture(t, 2)
 

@@ -83,7 +83,7 @@ func wantCancelled(t *testing.T, err error) {
 // list the remote run (tagged with the backend base), cancel it, and
 // watch the run die with the backend's 409.
 func TestRemoteWorkerCancelSession(t *testing.T) {
-	spec := slowClusterSpec(t)
+	spec := slowClusterSpec
 	_, backend := newBackend(t)
 	cl, err := cluster.New([]string{backend.URL})
 	if err != nil {

@@ -112,9 +112,6 @@ func (g *Game) Phase() Phase { return g.phase }
 // Session returns the quiz session (live; do not mutate).
 func (g *Game) Session() *quiz.Session { return g.session }
 
-// ModuleIndex returns the zero-based index of the active module.
-func (g *Game) ModuleIndex() int { return g.index }
-
 // Done reports whether the lesson is over (completed or quit).
 func (g *Game) Done() bool { return g.phase == PhaseLessonDone || g.quit }
 

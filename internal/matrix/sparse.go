@@ -114,6 +114,23 @@ func (c *COO) AddEntries(es []Entry) {
 	c.compacted = false
 }
 
+// AddCOO appends every stored triple of o, whose dimensions must
+// match the receiver's. o's triples were range-checked when they were
+// added, so they are copied once, with no per-triple check and no
+// intermediate slice.
+func (c *COO) AddCOO(o *COO) {
+	c.checkLive()
+	o.checkLive()
+	if o.rows != c.rows || o.cols != c.cols {
+		panic(fmt.Sprintf("matrix: AddCOO dimension mismatch %dx%d vs %dx%d", c.rows, c.cols, o.rows, o.cols))
+	}
+	if len(o.entries) == 0 {
+		return
+	}
+	c.entries = append(c.entries, o.entries...)
+	c.compacted = false
+}
+
 // AddCSR appends every stored entry of m, whose dimensions must
 // match the receiver's.
 func (c *COO) AddCSR(m *CSR) {

@@ -45,6 +45,36 @@ func TestCOOBoundsPanic(t *testing.T) {
 	c.Add(2, 0, 1)
 }
 
+// TestCOOAddCOOAppendsAndChecksShape: AddCOO appends the other
+// builder's triples (a compacted one included) so they sum on
+// compaction, leaves the source usable, and refuses a shape mismatch.
+func TestCOOAddCOOAppendsAndChecksShape(t *testing.T) {
+	src := NewCOO(2, 3)
+	src.Add(0, 2, 4)
+	src.Add(1, 0, 1)
+	src.Add(0, 2, 1)
+	src.Compact()
+	dst := NewCOO(2, 3)
+	dst.Add(0, 2, 1)
+	dst.AddCOO(src)
+	dst.AddCOO(NewCOO(2, 3))
+	if got := dst.Len(); got != 3 {
+		t.Fatalf("appended builder holds %d triples, want 3", got)
+	}
+	if got := dst.Compact().ToDense().At(0, 2); got != 6 {
+		t.Errorf("cell (0,2) = %d, want 6", got)
+	}
+	if got := src.ToDense().At(0, 2); got != 5 {
+		t.Errorf("source cell (0,2) = %d after AddCOO, want 5", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddCOO accepted a 3x2 source into a 2x3 builder")
+		}
+	}()
+	dst.AddCOO(NewCOO(3, 2))
+}
+
 func TestCOODenseRoundTripProperty(t *testing.T) {
 	f := func(vals [12]uint8) bool {
 		d := NewDense(3, 4)

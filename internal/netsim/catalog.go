@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 )
 
 // Params configures one scenario run. Zero values select sensible
@@ -122,57 +123,42 @@ type Scheduler interface {
 	Schedule(p Params) []Phase
 }
 
-// registry holds the catalog keyed by name.
-var registry = map[string]Scenario{}
+// builtins is the fixed scenario catalog in name order, and catalog
+// indexes it by name. Both are built once at package init and never
+// written again, so what a run resolves never depends on what else
+// ran in the process.
+var builtins, catalog = buildCatalog(
+	backgroundScenario{}, scanScenario{}, attackScenario{}, ddosScenario{},
+	wormScenario{}, exfilScenario{}, flashCrowdScenario{}, beaconScenario{},
+)
 
-// Register adds a scenario to the catalog, rejecting empty and
-// duplicate names.
-func Register(s Scenario) error {
-	name := s.Name()
-	if name == "" {
-		return fmt.Errorf("netsim: scenario with empty name")
+// catalogList is the name list the unknown-scenario error quotes.
+var catalogList = func() string {
+	names := make([]string, len(builtins))
+	for i, s := range builtins {
+		names[i] = s.Name()
 	}
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("netsim: duplicate scenario %q", name)
-	}
-	registry[name] = s
-	return nil
-}
+	return strings.Join(names, ", ")
+}()
 
-// mustRegister registers the built-in catalog at init time.
-func mustRegister(s Scenario) {
-	if err := Register(s); err != nil {
-		panic(err)
+// buildCatalog sorts the built-ins by name and indexes them.
+func buildCatalog(all ...Scenario) ([]Scenario, map[string]Scenario) {
+	sort.Slice(all, func(i, j int) bool { return all[i].Name() < all[j].Name() })
+	byName := make(map[string]Scenario, len(all))
+	for _, s := range all {
+		byName[s.Name()] = s
 	}
+	return all, byName
 }
 
 // LookupScenario finds a catalog entry by name.
 func LookupScenario(name string) (Scenario, bool) {
-	s, ok := registry[name]
+	s, ok := catalog[name]
 	return s, ok
 }
 
-// Scenarios returns the catalog sorted by name.
+// Scenarios returns the catalog sorted by name. The slice is the
+// caller's own copy.
 func Scenarios() []Scenario {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Scenario, len(names))
-	for i, name := range names {
-		out[i] = registry[name]
-	}
-	return out
-}
-
-func init() {
-	mustRegister(backgroundScenario{})
-	mustRegister(scanScenario{})
-	mustRegister(attackScenario{})
-	mustRegister(ddosScenario{})
-	mustRegister(wormScenario{})
-	mustRegister(exfilScenario{})
-	mustRegister(flashCrowdScenario{})
-	mustRegister(beaconScenario{})
+	return append([]Scenario(nil), builtins...)
 }

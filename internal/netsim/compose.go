@@ -677,48 +677,6 @@ func (t timedScenario) Schedule(p Params) []Phase {
 	return nil
 }
 
-// ——— named ———
-
-// namedScenario gives a composed scenario a catalog-friendly name:
-// RegisterSpec wraps parse results with it.
-type namedScenario struct {
-	Scenario
-	name string
-	desc string
-}
-
-// Named overrides a scenario's name (and, when desc is non-empty, its
-// description): the handle RegisterSpec files composed scenarios
-// under.
-func Named(s Scenario, name, desc string) Scenario {
-	if desc == "" {
-		desc = s.Description()
-	}
-	return namedScenario{Scenario: s, name: name, desc: desc}
-}
-
-func (n namedScenario) Name() string        { return n.name }
-func (n namedScenario) Description() string { return n.desc }
-
-// Components unwraps to the underlying scenario so mixture tooling
-// sees through the rename.
-func (n namedScenario) Components() []Scenario { return []Scenario{n.Scenario} }
-
-// ChunkSpan forwards the underlying scenario's time locality:
-// embedding the Scenario interface only promotes its declared
-// methods, so the optional span contract needs an explicit forward.
-func (n namedScenario) ChunkSpan(net *Network, p Params, chunk int) (float64, float64) {
-	return chunkSpan(n.Scenario, net, p, chunk)
-}
-
-// Schedule forwards the underlying scenario's ground truth.
-func (n namedScenario) Schedule(p Params) []Phase {
-	if sched, ok := n.Scenario.(Scheduler); ok {
-		return sched.Schedule(p)
-	}
-	return nil
-}
-
 // formatSeconds renders a duration for composed names: "10s".
 func formatSeconds(d float64) string {
 	return formatFloat(d) + "s"

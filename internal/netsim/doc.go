@@ -12,9 +12,9 @@
 // A traffic script is a value implementing Scenario: it names
 // itself, describes the traffic-matrix shape it draws, partitions
 // its workload into independent chunks, and emits each chunk's
-// events from a private RNG. Scenarios register into a catalog
-// (Register / LookupScenario / Scenarios) that twsim lists and runs
-// by name. Scenarios whose script follows a fixed timeline also
+// events from a private RNG. The built-ins form a fixed catalog
+// (LookupScenario / Scenarios), built once at init, that twsim lists
+// and runs by name. Scenarios whose script follows a fixed timeline also
 // implement Scheduler, exposing labeled phases as ground truth for
 // analyst exercises.
 //
@@ -64,7 +64,9 @@
 //
 //	overlay(background, sequence(scan@10s, ddos))
 //
-// and RegisterSpec files the result into the catalog at runtime.
+// and is the one resolver every front-end uses, bare catalog names
+// included. The catalog itself never grows: a mixture is reused by
+// nesting its expression.
 //
 // # Concurrency model
 //

@@ -37,19 +37,27 @@ func TestCatalogCompleteAndSorted(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsBadScenarios(t *testing.T) {
-	if err := Register(scanScenario{}); err == nil {
-		t.Error("duplicate registration accepted")
+// TestCatalogIsFixed: the catalog is exactly the eight built-ins in
+// name order, the same on every call, and a caller writing into the
+// returned slice cannot change what the next caller sees.
+func TestCatalogIsFixed(t *testing.T) {
+	want := []string{"attack", "background", "beacon", "ddos", "exfil", "flashcrowd", "scan", "worm"}
+	names := func(all []Scenario) []string {
+		out := make([]string, len(all))
+		for i, s := range all {
+			out[i] = s.Name()
+		}
+		return out
 	}
-	if err := Register(emptyNameScenario{}); err == nil {
-		t.Error("empty name accepted")
+	first := Scenarios()
+	if got := names(first); !reflect.DeepEqual(got, want) {
+		t.Fatalf("catalog = %v, want %v", got, want)
+	}
+	first[0] = first[len(first)-1]
+	if got := names(Scenarios()); !reflect.DeepEqual(got, want) {
+		t.Errorf("catalog after writing into a returned slice = %v, want %v", got, want)
 	}
 }
-
-// emptyNameScenario exercises Register's name validation.
-type emptyNameScenario struct{ scanScenario }
-
-func (emptyNameScenario) Name() string { return "" }
 
 // TestGenerationDeterministicAcrossWorkers is the contract the
 // concurrent engine exists to honour: for every catalog scenario,

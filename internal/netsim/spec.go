@@ -13,8 +13,8 @@ import (
 // The declarative spec layer: a small expression grammar that builds
 // combinator trees (compose.go) out of catalog names, so arbitrary
 // scenario mixtures are definable without writing Go — on the twsim
-// and twmodule command lines, in lesson-authoring scripts, or
-// registered into the catalog at runtime.
+// and twmodule command lines, in lesson-authoring scripts, and in
+// every served request.
 //
 // Grammar (whitespace is free between tokens):
 //
@@ -28,14 +28,26 @@ import (
 //	duration := number [ 's' ]
 //	name     := letter { letter | digit | '_' | '-' }
 //
-// A bare name resolves against the scenario catalog at parse time, so
-// specs can reference both built-ins and previously registered
-// composites. expr@10s pins the sub-expression's duration to ten
-// seconds; directly inside sequence(...) it also sizes the step's
-// slot, elsewhere it wraps the expression with Timed.
+// A bare name resolves against the fixed scenario catalog at parse
+// time; a mixture is reused by nesting its expression. expr@10s pins
+// the sub-expression's duration to ten seconds; directly inside
+// sequence(...) it also sizes the step's slot, elsewhere it wraps the
+// expression with Timed.
 
-// ParseSpec parses a composition expression into a runnable Scenario.
+// ParseSpec resolves a spec — a bare catalog name or a composition
+// expression — into a runnable Scenario. It is the one resolver every
+// front-end uses: a bare name is a single map lookup, so resolving a
+// catalog name per request costs no parse, and an unknown bare name
+// fails with the catalog listing.
 func ParseSpec(src string) (Scenario, error) {
+	name := strings.TrimSpace(src)
+	if s, ok := catalog[name]; ok {
+		return s, nil
+	}
+	if !strings.ContainsAny(name, "()@=,") {
+		return nil, fmt.Errorf("unknown scenario %q; available: %s (or compose one with a spec expression)",
+			name, catalogList)
+	}
 	p := &specParser{src: src}
 	p.skipSpace()
 	s, _, err := p.parseExpr()
@@ -51,9 +63,9 @@ func ParseSpec(src string) (Scenario, error) {
 
 // SpecString renders a scenario as its canonical spec expression —
 // the normal form of the composition algebra. For any scenario whose
-// leaves are registered catalog entries, ParseSpec(SpecString(s))
-// builds an equivalent scenario and the rendering is stable across
-// the round trip:
+// leaves are catalog entries, ParseSpec(SpecString(s)) builds an
+// equivalent scenario and the rendering is stable across the round
+// trip:
 //
 //	SpecString(ParseSpec(SpecString(s))) == SpecString(s)
 //
@@ -98,27 +110,9 @@ func SpecString(s Scenario) string {
 			return SpecString(inner)
 		}
 		return SpecString(v.inner) + "@" + formatSeconds(v.dur)
-	case namedScenario:
-		return v.name
 	default:
 		return s.Name()
 	}
-}
-
-// RegisterSpec parses a composition expression and registers the
-// result in the scenario catalog under the given name, so CLIs and
-// the bridge can run the mixture like any built-in. The description
-// may be empty (the composed description is kept).
-func RegisterSpec(name, desc, src string) (Scenario, error) {
-	s, err := ParseSpec(src)
-	if err != nil {
-		return nil, err
-	}
-	named := Named(s, name, desc)
-	if err := Register(named); err != nil {
-		return nil, err
-	}
-	return named, nil
 }
 
 // specParser is a recursive-descent parser over the spec grammar.

@@ -146,27 +146,6 @@ func TestSpecStringNormalizesNestedTimed(t *testing.T) {
 	}
 }
 
-// TestSpecStringRegisteredName: a registered composite renders as its
-// catalog handle, so the canonical key of a named mixture is the
-// name students see.
-func TestSpecStringRegisteredName(t *testing.T) {
-	s, err := RegisterSpec("specstring-test-mix", "", "overlay(background, scan)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer delete(registry, "specstring-test-mix")
-	if got := SpecString(s); got != "specstring-test-mix" {
-		t.Errorf("SpecString of registered composite = %q", got)
-	}
-	parsed, err := ParseSpec(SpecString(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Description() != s.Description() {
-		t.Error("registered name did not resolve back to the registered composite")
-	}
-}
-
 // TestLoadSpecErrorPaths pins the error taxonomy: missing files wrap
 // ErrSpecNotFound (and fs.ErrNotExist), unparseable files wrap the
 // parse error, and both carry the path.

@@ -112,36 +112,26 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterSpecAddsCatalogEntry(t *testing.T) {
-	s, err := RegisterSpec("layered-attack-test", "scan hiding in chatter", "overlay(background, scan)")
+// TestParseSpecReusesMixtureByExpression: a mixture is reused by
+// nesting its expression — the catalog never grows — and a broken
+// spec is rejected.
+func TestParseSpecReusesMixtureByExpression(t *testing.T) {
+	layered, err := ParseSpec("overlay(background, scan)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer delete(registry, "layered-attack-test")
-	if s.Name() != "layered-attack-test" {
-		t.Errorf("registered name = %q", s.Name())
-	}
-	got, ok := LookupScenario("layered-attack-test")
-	if !ok {
-		t.Fatal("registered spec not in catalog")
-	}
-	if got.Description() != "scan hiding in chatter" {
-		t.Errorf("description = %q", got.Description())
-	}
-	// Registered composites are themselves referencable from specs.
-	nested, err := ParseSpec("sequence(layered-attack-test, ddos)")
+	nested, err := ParseSpec("sequence(" + SpecString(layered) + ", ddos)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := GenerateCSRArena(context.Background(), nil, nested, StandardNetwork(), 1, 2, composeParams); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate registration is rejected like any catalog collision.
-	if _, err := RegisterSpec("layered-attack-test", "", "overlay(background, scan)"); err == nil {
-		t.Error("duplicate RegisterSpec accepted")
+	if got := len(Scenarios()); got != 8 {
+		t.Errorf("catalog holds %d scenarios after parsing mixtures, want 8", got)
 	}
-	if _, err := RegisterSpec("broken", "", "overlay("); err == nil {
-		t.Error("RegisterSpec accepted a broken spec")
+	if _, err := ParseSpec("overlay("); err == nil {
+		t.Error("ParseSpec accepted a broken spec")
 	}
 }
 

@@ -332,7 +332,7 @@ func fold(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, w
 		agg.AddCSR(m)
 	}
 	for _, r := range rest {
-		agg.AddEntries(r.Entries())
+		agg.AddCOO(r)
 	}
 	var stats Stats
 	for _, st := range partial {

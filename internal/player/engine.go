@@ -186,10 +186,6 @@ func (e *Engine) admit(id string) error {
 
 // resolveSpec resolves a scenario name or composition expression.
 func resolveSpec(spec string) (netsim.Scenario, error) {
-	spec = strings.TrimSpace(spec)
-	if s, ok := netsim.LookupScenario(spec); ok {
-		return s, nil
-	}
 	s, err := netsim.ParseSpec(spec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)

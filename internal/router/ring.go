@@ -41,29 +41,13 @@ type point struct {
 // concurrent mutation (Add/Remove); Pick is read-only and safe to
 // call concurrently once the ring is built.
 type Ring struct {
-	replicas int
-	points   []point // sorted by hash
-	workers  map[int]bool
-}
-
-// RingOption configures a Ring under construction.
-type RingOption func(*Ring)
-
-// WithReplicas sets the virtual-node count per worker (minimum 1).
-func WithReplicas(n int) RingOption {
-	return func(r *Ring) {
-		if n > 0 {
-			r.replicas = n
-		}
-	}
+	points  []point // sorted by hash
+	workers map[int]bool
 }
 
 // NewRing builds a ring over workers 0..n-1.
-func NewRing(n int, opts ...RingOption) *Ring {
-	r := &Ring{replicas: DefaultReplicas, workers: map[int]bool{}}
-	for _, opt := range opts {
-		opt(r)
-	}
+func NewRing(n int) *Ring {
+	r := &Ring{workers: map[int]bool{}}
 	for w := 0; w < n; w++ {
 		r.Add(w)
 	}
@@ -110,7 +94,7 @@ func (r *Ring) Add(worker int) {
 		return
 	}
 	r.workers[worker] = true
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < DefaultReplicas; i++ {
 		r.points = append(r.points, point{hash: vnodeHash(worker, i), worker: worker})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })

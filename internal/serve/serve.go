@@ -20,7 +20,6 @@
 //	GET    /v1/player/mastery              cohort item statistics
 //	GET    /v1/sessions         in-flight work (merged across backends)
 //	DELETE /v1/sessions/{id}    cancel one in-flight run
-//	GET    /v1/cache            result-cache counters (fleet aggregate)
 //	GET    /v1/stats            cache, session and arena counters (per backend too)
 //
 // Player errors map onto statuses through the package's sentinels: an
@@ -102,7 +101,7 @@ func NewMux(svc api.Core) http.Handler { return NewProxyMux(svc, nil) }
 // NewProxyMux builds the route table plus, when m is non-nil, the
 // cluster membership routes.
 func NewProxyMux(svc api.Core, m Membership) http.Handler {
-	routes := "GET /v1/healthz · GET /v1/catalog · POST /v1/generate · POST /v1/generate/stream · POST /v1/analyze · POST /v1/module · POST /v1/campaign · POST /v1/player · GET /v1/player/{id} · POST /v1/player/{id}/attempt · POST /v1/player/{id}/attempt/{n} · GET|POST /v1/player/{id}/progress · GET /v1/player/mastery · GET /v1/sessions · DELETE /v1/sessions/{id} · GET /v1/cache · GET /v1/stats"
+	routes := "GET /v1/healthz · GET /v1/catalog · POST /v1/generate · POST /v1/generate/stream · POST /v1/analyze · POST /v1/module · POST /v1/campaign · POST /v1/player · GET /v1/player/{id} · POST /v1/player/{id}/attempt · POST /v1/player/{id}/attempt/{n} · GET|POST /v1/player/{id}/progress · GET /v1/player/mastery · GET /v1/sessions · DELETE /v1/sessions/{id} · GET /v1/stats"
 	if m != nil {
 		routes += " · GET /v1/cluster · POST /v1/cluster/add · POST /v1/cluster/remove"
 	}
@@ -317,9 +316,6 @@ func NewProxyMux(svc api.Core, m Membership) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, CancelResult{Cancelled: svc.CancelSession(id)})
-	})
-	mux.HandleFunc("GET /v1/cache", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.CacheStats())
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.Stats())
