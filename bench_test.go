@@ -318,41 +318,6 @@ func BenchmarkSparseAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkSemiringMatMul compares the dense semiring product with
-// the parallel SpGEMM kernel on a 256-vertex random graph at 2%
-// density, over the two semirings whose dense and sparse semantics
-// coincide.
-func BenchmarkSemiringMatMul(b *testing.B) {
-	const n, nnz = 256, 1310 // ≈2% density
-	rng := rand.New(rand.NewSource(21))
-	coo := matrix.NewCOO(n, n)
-	for k := 0; k < nnz; k++ {
-		coo.Add(rng.Intn(n), rng.Intn(n), 1+rng.Intn(5))
-	}
-	csr := coo.ToCSR()
-	dense := csr.ToDense()
-	for _, s := range []matrix.Semiring{matrix.PlusTimes, matrix.OrAnd} {
-		b.Run("Dense/"+s.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := matrix.MulSemiring(dense, dense, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("CSR/%s/workers=%d", s.Name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := matrix.MatMulCSR(csr, csr, s, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // ——— Ablation: the paper's GDScript vs the native Go port ———
 
 func BenchmarkAblationController(b *testing.B) {
@@ -552,9 +517,9 @@ func BenchmarkComposedScenario(b *testing.B) {
 	}
 }
 
-// BenchmarkPermuteCSR measures the parallel host-permutation kernel
-// (the Relabel combinator's matrix-level equivalent) on a scaled
-// scenario matrix.
+// BenchmarkPermuteCSR measures the host-permutation kernel (the
+// Relabel combinator's matrix-level equivalent) on a scaled scenario
+// matrix.
 func BenchmarkPermuteCSR(b *testing.B) {
 	net := netsim.ScaledNetwork(1000)
 	s, ok := netsim.LookupScenario("background")
@@ -569,15 +534,12 @@ func BenchmarkPermuteCSR(b *testing.B) {
 	for i := range perm {
 		perm[i] = (i + 1) % len(perm) // cyclic shift: every row moves
 	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := matrix.PermuteCSR(csr, perm, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := matrix.PermuteCSR(csr, perm); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -68,8 +68,8 @@ func main() {
 		fmt.Printf("  %-12s %.2f\n", c.Label, c.Score)
 	}
 
-	// 3. Relabeling hosts at the event level equals the parallel
-	// symmetric permutation of the matrix — the algebraic fact that
+	// 3. Relabeling hosts at the event level equals the symmetric
+	// permutation of the matrix — the algebraic fact that
 	// makes relabeled variants of one scenario distinct exercises.
 	mapping := map[string]string{"WS1": "WS3", "WS3": "WS1"}
 	relabeled, _, err := netsim.GenerateCSRArena(ctx, nil, netsim.Relabel(composed, mapping), net, 42, 0, p)
@@ -80,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	permuted, err := matrix.PermuteCSR(csr, perm, 0)
+	permuted, err := matrix.PermuteCSR(csr, perm)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,11 +8,10 @@ package matrix
 // compaction straight into classification as a CSR, never
 // materializing the n² cells a large sparse matrix would waste.
 //
-// The contract mirrors sparse semantics: Row visits only stored
-// non-zero entries, in increasing column order, and At returns 0 for
-// any cell Row would skip. Summary walks both representations in
-// that row-major order, so either yields the same summary, first-seen
-// tie-breaks included.
+// The contract mirrors sparse semantics: At returns 0 for any cell a
+// CSR does not store. Summary switches on the concrete type and walks
+// either representation in row-major order over its non-zero cells,
+// so both yield the same summary, first-seen tie-breaks included.
 type Matrix interface {
 	// Rows returns the number of rows.
 	Rows() int
@@ -24,9 +23,6 @@ type Matrix interface {
 	NNZ() int
 	// Sum returns the total of all cells.
 	Sum() int
-	// Row calls fn for every non-zero entry (j, v) of row i in
-	// increasing column order.
-	Row(i int, fn func(j, v int))
 }
 
 // Both representations satisfy the accessor contract.
@@ -34,14 +30,3 @@ var (
 	_ Matrix = (*Dense)(nil)
 	_ Matrix = (*CSR)(nil)
 )
-
-// Row calls fn for every non-zero entry (j, v) of row i in column
-// order, satisfying the Matrix accessor contract.
-func (m *Dense) Row(i int, fn func(j, v int)) {
-	base := i * m.cols
-	for j := 0; j < m.cols; j++ {
-		if v := m.data[base+j]; v != 0 {
-			fn(j, v)
-		}
-	}
-}

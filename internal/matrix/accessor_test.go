@@ -20,18 +20,6 @@ func randomSquare(t testing.TB, seed int64, n int, density float64) (*Dense, *CS
 	return csr.ToDense(), csr
 }
 
-func TestDenseRowSkipsZeros(t *testing.T) {
-	d := MustFromRows([][]int{{0, 3, 0}, {1, 0, 2}})
-	var got []Entry
-	for i := 0; i < d.Rows(); i++ {
-		d.Row(i, func(j, v int) { got = append(got, Entry{Row: i, Col: j, Val: v}) })
-	}
-	want := []Entry{{0, 1, 3}, {1, 0, 1}, {1, 2, 2}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Dense.Row visited %v, want %v", got, want)
-	}
-}
-
 // TestAnalysisParityDenseVsCSR pins the tentpole invariant at the
 // matrix layer: every analysis helper produces byte-identical
 // results through either representation.

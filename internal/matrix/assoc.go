@@ -99,24 +99,6 @@ func (a *Assoc) ColKeys() []string {
 	return keys
 }
 
-// Keys returns the sorted union of row and column keys: the vertex
-// set of the traffic graph.
-func (a *Assoc) Keys() []string {
-	set := make(map[string]struct{})
-	for r, cols := range a.cells {
-		set[r] = struct{}{}
-		for c := range cols {
-			set[c] = struct{}{}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Range calls fn for every non-zero cell in sorted (row, col) order.
 func (a *Assoc) Range(fn func(row, col string, v int)) {
 	for _, r := range a.RowKeys() {
@@ -152,21 +134,6 @@ func (a *Assoc) Equal(o *Assoc) bool {
 	return equal
 }
 
-// AddAssoc returns a + o cell-wise.
-func (a *Assoc) AddAssoc(o *Assoc) *Assoc {
-	out := a.Clone()
-	o.Range(func(row, col string, v int) { out.Add(row, col, v) })
-	return out
-}
-
-// Transpose returns the associative array with row and column keys
-// exchanged.
-func (a *Assoc) Transpose() *Assoc {
-	out := NewAssoc()
-	a.Range(func(row, col string, v int) { out.Set(col, row, v) })
-	return out
-}
-
 // ToDense projects the associative array onto the given label order,
 // producing the square dense matrix a learning module displays. Cells
 // whose row or column key is not in labels are dropped; the returned
@@ -189,31 +156,6 @@ func (a *Assoc) ToDense(labels []string) (*Dense, int) {
 		d.Add(i, j, v)
 	})
 	return d, dropped
-}
-
-// FromDenseLabels lifts a dense matrix into an associative array
-// using labels for both axes. It returns an error when the label
-// count does not match the (square) matrix size or labels repeat.
-func FromDenseLabels(d *Dense, labels []string) (*Assoc, error) {
-	if d.Rows() != len(labels) || d.Cols() != len(labels) {
-		return nil, fmt.Errorf("matrix: %dx%d matrix needs %d labels, got %d", d.Rows(), d.Cols(), d.Rows(), len(labels))
-	}
-	seen := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		if seen[l] {
-			return nil, fmt.Errorf("matrix: duplicate label %q", l)
-		}
-		seen[l] = true
-	}
-	a := NewAssoc()
-	for i := 0; i < d.Rows(); i++ {
-		for j := 0; j < d.Cols(); j++ {
-			if v := d.At(i, j); v != 0 {
-				a.Set(labels[i], labels[j], v)
-			}
-		}
-	}
-	return a, nil
 }
 
 // String renders the associative array as a label-bordered grid.

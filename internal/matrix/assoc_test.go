@@ -50,9 +50,6 @@ func TestAssocKeysSorted(t *testing.T) {
 	if got := a.ColKeys(); !reflect.DeepEqual(got, []string{"x", "y", "z"}) {
 		t.Errorf("ColKeys = %v", got)
 	}
-	if got := a.Keys(); !reflect.DeepEqual(got, []string{"a", "b", "c", "x", "y", "z"}) {
-		t.Errorf("Keys = %v", got)
-	}
 }
 
 func TestAssocRangeOrderDeterministic(t *testing.T) {
@@ -78,19 +75,6 @@ func TestAssocCloneEqualAdd(t *testing.T) {
 	if a.Equal(b) || a.At("p", "q") != 4 {
 		t.Error("clone aliases original")
 	}
-	sum := a.AddAssoc(b)
-	if sum.At("p", "q") != 9 {
-		t.Errorf("AddAssoc = %d", sum.At("p", "q"))
-	}
-}
-
-func TestAssocTranspose(t *testing.T) {
-	a := NewAssoc()
-	a.Set("src", "dst", 7)
-	tr := a.Transpose()
-	if tr.At("dst", "src") != 7 || tr.At("src", "dst") != 0 {
-		t.Error("transpose wrong")
-	}
 }
 
 func TestAssocToDenseProjection(t *testing.T) {
@@ -104,29 +88,6 @@ func TestAssocToDenseProjection(t *testing.T) {
 	}
 	if dropped != 9 {
 		t.Errorf("dropped = %d, want 9", dropped)
-	}
-}
-
-func TestFromDenseLabelsRoundTrip(t *testing.T) {
-	d := MustFromRows([][]int{{0, 2}, {1, 0}})
-	labels := []string{"X", "Y"}
-	a, err := FromDenseLabels(d, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, dropped := a.ToDense(labels)
-	if dropped != 0 || !back.Equal(d) {
-		t.Error("round trip lost data")
-	}
-}
-
-func TestFromDenseLabelsErrors(t *testing.T) {
-	d := NewSquare(2)
-	if _, err := FromDenseLabels(d, []string{"only"}); err == nil {
-		t.Error("label count mismatch accepted")
-	}
-	if _, err := FromDenseLabels(d, []string{"dup", "dup"}); err == nil {
-		t.Error("duplicate labels accepted")
 	}
 }
 

@@ -7,8 +7,8 @@
 // label list for both axes; the netsim substrate aggregates live
 // events into sparse matrices; and the D4M-style associative array
 // supports string-keyed sources and destinations. This package
-// provides all three representations plus the semiring operations
-// (GraphBLAS-style) used by the pattern classifier.
+// provides all three representations plus the one-walk Summary the
+// pattern classifiers read.
 package matrix
 
 import (
@@ -19,8 +19,8 @@ import (
 // Dense is a row-major dense integer matrix. The zero value is an
 // empty 0×0 matrix. Entries are packet counts and are expected to be
 // non-negative in lesson content, although the type itself permits any
-// int so intermediate computations (differences, semiring folds) can
-// use it too.
+// int so intermediate computations (differences, products) can use
+// it too.
 type Dense struct {
 	rows, cols int
 	data       []int
@@ -180,19 +180,6 @@ func (m *Dense) Max() int {
 	return best
 }
 
-// RowSums returns the out-degree (packets sent) of every source.
-func (m *Dense) RowSums() []int {
-	sums := make([]int, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0
-		for j := 0; j < m.cols; j++ {
-			s += m.data[i*m.cols+j]
-		}
-		sums[i] = s
-	}
-	return sums
-}
-
 // ColSums returns the in-degree (packets received) of every
 // destination.
 func (m *Dense) ColSums() []int {
@@ -231,34 +218,6 @@ func (m *Dense) AddMatrix(o *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// EWiseMax returns the element-wise maximum of m and o. Color
-// matrices combine with max so red (2) dominates blue (1) dominates
-// grey (0) when stages overlap.
-func (m *Dense) EWiseMax(o *Dense) (*Dense, error) {
-	if m.rows != o.rows || m.cols != o.cols {
-		return nil, fmt.Errorf("matrix: shape mismatch %dx%d vs %dx%d", m.rows, m.cols, o.rows, o.cols)
-	}
-	out := m.Clone()
-	for i, v := range o.data {
-		if v > out.data[i] {
-			out.data[i] = v
-		}
-	}
-	return out, nil
-}
-
-// Submatrix returns the rectangle [r0,r1)×[c0,c1) as a new matrix.
-func (m *Dense) Submatrix(r0, r1, c0, c1 int) (*Dense, error) {
-	if r0 < 0 || c0 < 0 || r1 > m.rows || c1 > m.cols || r0 > r1 || c0 > c1 {
-		return nil, fmt.Errorf("matrix: submatrix [%d:%d,%d:%d) out of range %dx%d", r0, r1, c0, c1, m.rows, m.cols)
-	}
-	out := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out.data[(i-r0)*out.cols:(i-r0+1)*out.cols], m.data[i*m.cols+c0:i*m.cols+c1])
-	}
-	return out, nil
-}
-
 // Pattern returns a clone with every non-zero entry replaced by 1,
 // i.e. the unweighted adjacency structure.
 func (m *Dense) Pattern() *Dense {
@@ -270,23 +229,6 @@ func (m *Dense) Pattern() *Dense {
 		return 0
 	})
 	return p
-}
-
-// IsSymmetric reports whether m equals its transpose. Undirected
-// graph-theory patterns (ring, mesh, clique) render as symmetric
-// traffic matrices.
-func (m *Dense) IsSymmetric() bool {
-	if !m.IsSquare() {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if m.data[i*m.cols+j] != m.data[j*m.cols+i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Trace returns the sum of the diagonal: total self-loop traffic.

@@ -6,7 +6,7 @@ import (
 	"slices"
 )
 
-// The parallel permutation kernel. A host relabeling of a traffic
+// The permutation kernel. A host relabeling of a traffic
 // matrix is the symmetric permutation B = P·A·Pᵀ: row and column i
 // both move to perm[i]. The netsim Relabel combinator renames hosts
 // at the event level; this kernel is the matrix-level equivalent, and
@@ -34,11 +34,9 @@ func checkPermutation(perm []int, n int) error {
 
 // PermuteCSR returns the symmetric permutation B = P·A·Pᵀ of a square
 // matrix: B[perm[i]][perm[j]] = m[i][j]. perm must be a bijection on
-// [0,n). The scatter shards across input-row bands — every input row
-// owns a disjoint output segment, so goroutines never contend and the
-// result is byte-identical for any worker count. workers ≤ 0 selects
-// runtime.NumCPU().
-func PermuteCSR(m *CSR, perm []int, workers int) (*CSR, error) {
+// [0,n). Every input row scatters into its own output row, whose
+// columns it re-sorts.
+func PermuteCSR(m *CSR, perm []int) (*CSR, error) {
 	if m.rows != m.cols {
 		return nil, fmt.Errorf("matrix: cannot symmetrically permute %dx%d (not square)", m.rows, m.cols)
 	}
@@ -61,23 +59,21 @@ func PermuteCSR(m *CSR, perm []int, workers int) (*CSR, error) {
 		out.rowPtr[i+1] += out.rowPtr[i]
 	}
 	type cell struct{ col, val int }
-	parallelBands(rowBands(n, workers), func(_, lo, hi int) {
-		var buf []cell
-		for i := lo; i < hi; i++ {
-			buf = buf[:0]
-			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				buf = append(buf, cell{col: perm[m.colIdx[k]], val: m.vals[k]})
-			}
-			// The permuted columns arrive out of order; CSR rows store
-			// ascending columns.
-			slices.SortFunc(buf, func(a, b cell) int { return cmp.Compare(a.col, b.col) })
-			base := out.rowPtr[perm[i]]
-			for k, c := range buf {
-				out.colIdx[base+k] = c.col
-				out.vals[base+k] = c.val
-			}
+	var buf []cell
+	for i := 0; i < n; i++ {
+		buf = buf[:0]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			buf = append(buf, cell{col: perm[m.colIdx[k]], val: m.vals[k]})
 		}
-	})
+		// The permuted columns arrive out of order; CSR rows store
+		// ascending columns.
+		slices.SortFunc(buf, func(a, b cell) int { return cmp.Compare(a.col, b.col) })
+		base := out.rowPtr[perm[i]]
+		for k, c := range buf {
+			out.colIdx[base+k] = c.col
+			out.vals[base+k] = c.val
+		}
+	}
 	return out, nil
 }
 

@@ -35,7 +35,7 @@ func TestPermuteCSRMatchesDense(t *testing.T) {
 		dense := coo.ToDense()
 		perm := randomPermutation(n, rng)
 
-		got, err := PermuteCSR(csr, perm, 0)
+		got, err := PermuteCSR(csr, perm)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -52,27 +52,6 @@ func TestPermuteCSRMatchesDense(t *testing.T) {
 	}
 }
 
-// TestPermuteCSRDeterministicAcrossWorkers pins the parallel-kernel
-// contract: byte-identical output for any worker count.
-func TestPermuteCSRDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	csr := randomSquareCOO(64, 512, rng).ToCSR()
-	perm := randomPermutation(64, rng)
-	base, err := PermuteCSR(csr, perm, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		got, err := PermuteCSR(csr, perm, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d: permuted CSR differs from 1-worker result", workers)
-		}
-	}
-}
-
 // TestPermuteCSRIdentityAndInverse: the identity is a no-op and
 // applying the inverse permutation round-trips.
 func TestPermuteCSRIdentityAndInverse(t *testing.T) {
@@ -85,18 +64,18 @@ func TestPermuteCSRIdentityAndInverse(t *testing.T) {
 		id[i] = i
 		inv[perm[i]] = i
 	}
-	same, err := PermuteCSR(csr, id, 0)
+	same, err := PermuteCSR(csr, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(same, csr) {
 		t.Error("identity permutation changed the matrix")
 	}
-	fwd, err := PermuteCSR(csr, perm, 0)
+	fwd, err := PermuteCSR(csr, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := PermuteCSR(fwd, inv, 0)
+	back, err := PermuteCSR(fwd, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +91,12 @@ func TestPermuteCSRRejectsBadInput(t *testing.T) {
 		"out of range": {0, 1, 3},
 		"duplicate":    {0, 1, 1},
 	} {
-		if _, err := PermuteCSR(csr, perm, 0); err == nil {
+		if _, err := PermuteCSR(csr, perm); err == nil {
 			t.Errorf("%s permutation accepted", name)
 		}
 	}
 	rect := NewCOO(2, 3).ToCSR()
-	if _, err := PermuteCSR(rect, []int{0, 1}, 0); err == nil {
+	if _, err := PermuteCSR(rect, []int{0, 1}); err == nil {
 		t.Error("non-square matrix accepted")
 	}
 	if _, err := PermuteDense(NewDense(2, 3), []int{0, 1}); err == nil {

@@ -2,101 +2,26 @@ package matrix
 
 import "fmt"
 
-// Semiring bundles the add/multiply pair used by GraphBLAS-style
-// matrix products. The paper motivates traffic matrices with the
-// GraphBLAS ecosystem; the pattern classifier uses the OrAnd semiring
-// to count paths and the PlusTimes semiring for ordinary products.
-type Semiring struct {
-	// Name identifies the semiring in diagnostics.
-	Name string
-	// Add is the commutative monoid operation with identity Zero.
-	Add func(a, b int) int
-	// Mul is the multiplicative operation with identity One.
-	Mul func(a, b int) int
-	// Zero is the additive identity (and Mul's annihilator).
-	Zero int
-	// One is the multiplicative identity.
-	One int
-}
-
-// PlusTimes is the conventional (+,*) arithmetic semiring.
-var PlusTimes = Semiring{
-	Name: "plus-times",
-	Add:  func(a, b int) int { return a + b },
-	Mul:  func(a, b int) int { return a * b },
-	Zero: 0,
-	One:  1,
-}
-
-// OrAnd is the boolean (|,&) semiring on 0/1 values; products count
-// reachability rather than path multiplicity.
-var OrAnd = Semiring{
-	Name: "or-and",
-	Add: func(a, b int) int {
-		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
-	},
-	Mul: func(a, b int) int {
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	},
-	Zero: 0,
-	One:  1,
-}
-
-// maxIdentity is the additive identity for MaxPlus: a value small
-// enough to act as -inf for packet-count magnitudes.
-const maxIdentity = -1 << 40
-
-// MaxPlus is the (max,+) semiring: products compute heaviest paths.
-var MaxPlus = Semiring{
-	Name: "max-plus",
-	Add: func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	},
-	Mul:  func(a, b int) int { return a + b },
-	Zero: maxIdentity,
-	One:  0,
-}
-
-// MulSemiring computes the matrix product A⊗B over the semiring s.
-// A must be r×k and B k×c; the result is r×c.
-func MulSemiring(a, b *Dense, s Semiring) (*Dense, error) {
+// Mul computes the ordinary integer matrix product A·B. A must be
+// r×k and B k×c; the result is r×c.
+func Mul(a, b *Dense) (*Dense, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("matrix: cannot multiply %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols)
 	}
 	out := NewDense(a.rows, b.cols)
-	for i := range out.data {
-		out.data[i] = s.Zero
-	}
 	for i := 0; i < a.rows; i++ {
 		for k := 0; k < a.cols; k++ {
 			av := a.data[i*a.cols+k]
-			if av == s.Zero {
+			if av == 0 {
 				continue
 			}
 			for j := 0; j < b.cols; j++ {
-				bv := b.data[k*b.cols+j]
-				if bv == s.Zero {
-					continue
-				}
-				idx := i*out.cols + j
-				out.data[idx] = s.Add(out.data[idx], s.Mul(av, bv))
+				out.data[i*out.cols+j] += av * b.data[k*b.cols+j]
 			}
 		}
 	}
 	return out, nil
 }
-
-// Mul is MulSemiring over the conventional arithmetic semiring.
-func Mul(a, b *Dense) (*Dense, error) { return MulSemiring(a, b, PlusTimes) }
 
 // TriangleCount returns the number of triangles in the undirected
 // graph whose adjacency structure is m (entries are treated as
@@ -121,31 +46,4 @@ func TriangleCount(m *Dense) (int, error) {
 		return 0, err
 	}
 	return a3.Trace() / 6, nil
-}
-
-// Reachable returns the transitive closure of m's adjacency structure
-// computed by repeated OrAnd squaring: out(i,j)=1 when a directed
-// path from i to j exists (of length ≥ 1).
-func Reachable(m *Dense) (*Dense, error) {
-	if !m.IsSquare() {
-		return nil, fmt.Errorf("matrix: reachability needs a square matrix, got %dx%d", m.rows, m.cols)
-	}
-	closure := m.Pattern()
-	// After ⌈log2 n⌉ rounds of closure = closure | closure² the
-	// result is stable for any n-vertex graph.
-	for steps := 1; steps < m.rows; steps *= 2 {
-		sq, err := MulSemiring(closure, closure, OrAnd)
-		if err != nil {
-			return nil, err
-		}
-		next, err := closure.EWiseMax(sq)
-		if err != nil {
-			return nil, err
-		}
-		if next.Equal(closure) {
-			break
-		}
-		closure = next
-	}
-	return closure, nil
 }

@@ -334,27 +334,6 @@ func (m *CSR) At(i, j int) int {
 	return 0
 }
 
-// Row calls fn for every stored entry (j, v) in row i, in column
-// order.
-func (m *CSR) Row(i int, fn func(j, v int)) {
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(m.colIdx[k], m.vals[k])
-	}
-}
-
-// RowSums returns the out-degree of every source.
-func (m *CSR) RowSums() []int {
-	sums := make([]int, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k]
-		}
-		sums[i] = s
-	}
-	return sums
-}
-
 // ColSums returns the in-degree of every destination.
 func (m *CSR) ColSums() []int {
 	sums := make([]int, m.cols)
@@ -371,22 +350,6 @@ func (m *CSR) Sum() int {
 		s += v
 	}
 	return s
-}
-
-// MatVec computes y = m·x over conventional arithmetic.
-func (m *CSR) MatVec(x []int) ([]int, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("matrix: vector length %d does not match %d columns", len(x), m.cols)
-	}
-	y := make([]int, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
-		}
-		y[i] = s
-	}
-	return y, nil
 }
 
 // ToDense materializes the CSR matrix densely.
@@ -416,34 +379,4 @@ func (m *CSR) ToRows() [][]int {
 		rows[i] = row
 	}
 	return rows
-}
-
-// Transpose returns the CSC-equivalent as a new CSR matrix (a
-// transposed CSR is CSC of the original).
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{
-		rows:   m.cols,
-		cols:   m.rows,
-		rowPtr: make([]int, m.cols+1),
-		colIdx: make([]int, len(m.vals)),
-		vals:   make([]int, len(m.vals)),
-	}
-	for _, j := range m.colIdx {
-		t.rowPtr[j+1]++
-	}
-	for i := 0; i < t.rows; i++ {
-		t.rowPtr[i+1] += t.rowPtr[i]
-	}
-	next := make([]int, t.rows)
-	copy(next, t.rowPtr[:t.rows])
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			j := m.colIdx[k]
-			pos := next[j]
-			next[j]++
-			t.colIdx[pos] = i
-			t.vals[pos] = m.vals[k]
-		}
-	}
-	return t
 }

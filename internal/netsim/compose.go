@@ -517,7 +517,8 @@ type relabelScenario struct {
 // source and destination are looked up in mapping, names absent from
 // it pass through unchanged. With a mapping that permutes the
 // network's hosts, the relabeled matrix is exactly the symmetric
-// permutation matrix.PermuteCSR computes from the original — the
+// permutation matrix.PermuteCSR computes from the original
+// (TestRelabelMatchesPermutationKernel checks it cell for cell) — the
 // shape survives, only the axis labels move, which is what makes
 // relabeled variants of one scenario distinct exercises. Mapping a
 // host to a name outside the network drops those packets (counted in
@@ -582,7 +583,7 @@ func (r relabelScenario) Schedule(p Params) []Phase {
 }
 
 // PermutationOf resolves a Relabel host mapping into an axis
-// permutation usable with matrix.PermuteCSR: perm[i] is the axis
+// permutation for matrix.PermuteCSR: perm[i] is the axis
 // position host i's traffic moves to. Every mapping key and value
 // must name a network host and the mapping must be injective, so the
 // result is a bijection on [0, net.Len()).

@@ -236,7 +236,7 @@ func TestRelabelMatchesPermutationKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := matrix.PermuteCSR(base, perm, 0)
+		want, err := matrix.PermuteCSR(base, perm)
 		if err != nil {
 			t.Fatal(err)
 		}

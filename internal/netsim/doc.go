@@ -54,8 +54,8 @@
 // under composition: Overlay layers scenarios over one timeline,
 // Sequence concatenates them in time (with optional per-step
 // durations), Dilate stretches a script's tempo, Amplify multiplies
-// its volume, and Relabel permutes its hosts (the matrix-level twin
-// of matrix.PermuteCSR). Every combinator implements the same
+// its volume, and Relabel permutes its hosts (its matrix-level twin
+// is matrix.PermuteCSR). Every combinator implements the same
 // Scenario chunk contract, deriving its partition from its
 // components', so composed scenarios shard across workers exactly
 // like primitives; Scheduler phase lists are merged, offset, or

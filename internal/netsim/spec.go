@@ -45,8 +45,7 @@ func ParseSpec(src string) (Scenario, error) {
 		return s, nil
 	}
 	if !strings.ContainsAny(name, "()@=,") {
-		return nil, fmt.Errorf("unknown scenario %q; available: %s (or compose one with a spec expression)",
-			name, catalogList)
+		return nil, errors.New(unknownScenario(name))
 	}
 	p := &specParser{src: src}
 	p.skipSpace()
@@ -119,6 +118,13 @@ func SpecString(s Scenario) string {
 type specParser struct {
 	src string
 	pos int
+}
+
+// unknownScenario is the message an unknown catalog name fails with,
+// bare or nested: it lists the catalog, because API clients have no
+// twsim -list to ask.
+func unknownScenario(name string) string {
+	return fmt.Sprintf("unknown scenario %q; available: %s (or compose one with a spec expression)", name, catalogList)
 }
 
 func (p *specParser) errorf(format string, args ...interface{}) error {
@@ -249,7 +255,7 @@ func (p *specParser) parseTerm() (Scenario, error) {
 	if p.peek() != '(' {
 		s, ok := LookupScenario(name)
 		if !ok {
-			return nil, p.errorf("unknown scenario %q (run twsim -list for the catalog)", name)
+			return nil, p.errorf("%s", unknownScenario(name))
 		}
 		return s, nil
 	}

@@ -112,6 +112,29 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecNestedUnknownListsCatalog: an unknown name inside an
+// expression fails like a bare one, listing every catalog name rather
+// than pointing at a CLI an API client does not have, and keeps the
+// parser's byte position.
+func TestParseSpecNestedUnknownListsCatalog(t *testing.T) {
+	_, err := ParseSpec("overlay(background, nope)")
+	if err == nil {
+		t.Fatal("unknown nested scenario accepted")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "spec at byte") || !strings.Contains(msg, `unknown scenario "nope"; available: `) {
+		t.Errorf("error %q lacks the position or the catalog listing", msg)
+	}
+	for _, s := range Scenarios() {
+		if !strings.Contains(msg, s.Name()) {
+			t.Errorf("error %q does not list %s", msg, s.Name())
+		}
+	}
+	if strings.Contains(msg, "twsim") {
+		t.Errorf("error %q points at the twsim CLI", msg)
+	}
+}
+
 // TestParseSpecReusesMixtureByExpression: a mixture is reused by
 // nesting its expression — the catalog never grows — and a broken
 // spec is rejected.

@@ -129,7 +129,6 @@ type playerAttempts struct {
 type Engine struct {
 	store   Store
 	limiter *Limiter
-	workers int
 
 	locks [engineStripes]sync.Mutex
 
@@ -150,10 +149,6 @@ type EngineOption func(*Engine)
 
 // WithLimiter installs a per-player rate limiter (nil admits all).
 func WithLimiter(l *Limiter) EngineOption { return func(e *Engine) { e.limiter = l } }
-
-// WithWorkers sets the worker count for module/course rendering
-// (≤ 0 selects all CPUs).
-func WithWorkers(n int) EngineOption { return func(e *Engine) { e.workers = n } }
 
 // NewEngine builds an engine over a store.
 func NewEngine(store Store, opts ...EngineOption) *Engine {
@@ -229,8 +224,10 @@ func (e *Engine) renderCourse(ctx context.Context, ref CourseRef) (*course.Cours
 	if err != nil {
 		return nil, err
 	}
+	// Workers 0 generates on all CPUs; the course is the same for any
+	// worker count.
 	camp, err := bridge.CampaignFromScenario(ctx, scn, netsim.ScaledNetwork(ref.Hosts),
-		ref.Seed, e.workers, netsim.Params{}, ref.Window)
+		ref.Seed, 0, netsim.Params{}, ref.Window)
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +261,9 @@ func (e *Engine) renderModule(ctx context.Context, ref ModuleRef) (*core.Module,
 	if err != nil {
 		return nil, err
 	}
+	// Workers 0 generates on all CPUs, as renderCourse does.
 	return bridge.AggregateModule(ctx, scn, netsim.ScaledNetwork(ref.Hosts),
-		ref.Seed, e.workers, netsim.Params{})
+		ref.Seed, 0, netsim.Params{})
 }
 
 // replayProgress rebuilds a live Progress from the persisted

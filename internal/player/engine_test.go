@@ -13,7 +13,7 @@ import (
 // workload (the fig9c pattern needs no generation run).
 func testEngine(t *testing.T, opts ...EngineOption) *Engine {
 	t.Helper()
-	return NewEngine(NewMemStore(), append([]EngineOption{WithWorkers(2)}, opts...)...)
+	return NewEngine(NewMemStore(), opts...)
 }
 
 // patternRef is the cheapest deterministic module with a question.
@@ -250,7 +250,7 @@ func TestEngineRestartKeepsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(store, WithWorkers(2))
+	e := NewEngine(store)
 	if _, err := e.Create(ctx, Record{ID: "alice"}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestEngineRestartKeepsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(store2, WithWorkers(2))
+	e2 := NewEngine(store2)
 	after, err := e2.Progress(ctx, "alice")
 	if err != nil {
 		t.Fatal(err)
