@@ -8,6 +8,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -168,18 +169,11 @@ func BenchmarkAblationDecode(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var m core.Module
-			if err := jsonUnmarshal(strictJSON, &m); err != nil {
+			if err := json.NewDecoder(bytes.NewReader(strictJSON)).Decode(&m); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// jsonUnmarshal isolates encoding/json to keep the import local to
-// the bench.
-func jsonUnmarshal(data []byte, v any) error {
-	dec := newJSONDecoder(bytes.NewReader(data))
-	return dec.Decode(v)
 }
 
 // ——— Ablation: naive vs greedy voxel meshing ———
@@ -398,7 +392,7 @@ func BenchmarkNetsimDDoSScenario(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := trace.Windows(net, 10, 40); err != nil {
+		if _, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 40); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -586,23 +580,6 @@ func BenchmarkZipRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := core.ReadZip("bench", buf.Bytes()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkVoxelCodec(b *testing.B) {
-	scene, err := render.ComposeWarehouse(mustMatrix(core.MustTemplate(10)), nil, nil, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := voxel.Encode(&buf, scene); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := voxel.Decode(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

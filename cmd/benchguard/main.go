@@ -1,7 +1,8 @@
 // Command benchguard is the allocation-regression gate: it compares
 // the allocs/op of a fresh `go test -bench -benchmem` run against a
 // committed baseline snapshot and fails when any shared benchmark
-// regressed past the tolerance.
+// regressed past the tolerance, or when a baseline benchmark is
+// missing from the fresh run.
 //
 //	benchguard -baseline BENCH_PR7.json -current fresh.json
 //
@@ -103,6 +104,45 @@ func parseAllocs(path string) (map[string]int64, error) {
 	return out, nil
 }
 
+// verdict is the outcome of comparing a current run to a baseline.
+type verdict struct {
+	// shared names the benchmarks in both runs, sorted.
+	shared []string
+	// missing names the baseline benchmarks the current run lacks,
+	// sorted: a renamed or deleted benchmark that would otherwise
+	// leave the gate unseen.
+	missing []string
+	// regressed names the shared benchmarks past the limit, sorted.
+	regressed []string
+}
+
+// limit is the largest allocs/op a benchmark with baseline b may
+// report.
+func limit(b int64, tolerance float64, slack int64) int64 {
+	return int64(float64(b)*(1+tolerance)) + slack
+}
+
+// compare checks every baseline benchmark against the current run.
+func compare(base, cur map[string]int64, tolerance float64, slack int64) verdict {
+	var v verdict
+	for name, b := range base {
+		c, ok := cur[name]
+		switch {
+		case !ok:
+			v.missing = append(v.missing, name)
+		case c > limit(b, tolerance, slack):
+			v.regressed = append(v.regressed, name)
+			fallthrough
+		default:
+			v.shared = append(v.shared, name)
+		}
+	}
+	sort.Strings(v.shared)
+	sort.Strings(v.missing)
+	sort.Strings(v.regressed)
+	return v
+}
+
 func main() {
 	baseline := flag.String("baseline", "", "committed bench snapshot (raw or test2json)")
 	current := flag.String("current", "", "fresh bench run to check (raw or test2json)")
@@ -125,42 +165,43 @@ func main() {
 		os.Exit(2)
 	}
 
-	var shared []string
-	for name := range base {
-		if _, ok := cur[name]; ok {
-			shared = append(shared, name)
-		}
-	}
-	if len(shared) == 0 {
-		// An empty intersection means the gate is comparing nothing:
-		// a renamed benchmark must not silently disable the guard.
-		fmt.Fprintf(os.Stderr, "benchguard: no shared benchmarks between %s (%d) and %s (%d)\n",
-			*baseline, len(base), *current, len(cur))
+	if len(base) == 0 {
+		// An empty baseline would gate nothing.
+		fmt.Fprintf(os.Stderr, "benchguard: baseline %s holds no benchmark results\n", *baseline)
 		os.Exit(1)
 	}
-	sort.Strings(shared)
+	v := compare(base, cur, *tolerance, *slack)
 
-	failed := 0
 	fmt.Printf("%-60s %14s %14s %8s\n", "benchmark", "baseline", "current", "delta")
-	for _, name := range shared {
+	for _, name := range v.shared {
 		b, c := base[name], cur[name]
-		limit := int64(float64(b)*(1+*tolerance)) + *slack
 		delta := "ok"
 		if b > 0 {
 			delta = fmt.Sprintf("%+.1f%%", 100*float64(c-b)/float64(b))
 		}
 		mark := ""
-		if c > limit {
+		if c > limit(b, *tolerance, *slack) {
 			mark = "  REGRESSED"
-			failed++
 		}
 		fmt.Printf("%-60s %14d %14d %8s%s\n", name, b, c, delta, mark)
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed past %.0f%%+%d allocs/op\n",
-			failed, *tolerance*100, *slack)
+	for _, name := range v.missing {
+		fmt.Printf("%-60s %14d %14s %8s  MISSING\n", name, base[name], "-", "-")
+	}
+	failed := false
+	if len(v.regressed) > 0 {
+		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed past %.0f%%+%d allocs/op: %s\n",
+			len(v.regressed), *tolerance*100, *slack, strings.Join(v.regressed, ", "))
+		failed = true
+	}
+	if len(v.missing) > 0 {
+		fmt.Fprintf(os.Stderr, "benchguard: %d baseline benchmark(s) missing from %s: %s\n",
+			len(v.missing), *current, strings.Join(v.missing, ", "))
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 	fmt.Printf("benchguard: %d benchmark(s) within %.0f%%+%d allocs/op of baseline\n",
-		len(shared), *tolerance*100, *slack)
+		len(v.shared), *tolerance*100, *slack)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +67,33 @@ func TestParseAllocsIgnoresLinesWithoutBenchmem(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("parsed %v from a run without -benchmem", got)
+	}
+}
+
+func TestCompareFailsOnMissingBaselineBenchmark(t *testing.T) {
+	base := map[string]int64{"BenchmarkKept": 100, "BenchmarkRenamed": 50, "BenchmarkGone/sub": 7}
+	cur := map[string]int64{"BenchmarkKept": 100, "BenchmarkRenamedNew": 50, "BenchmarkExtra": 1}
+	v := compare(base, cur, 0.10, 64)
+	if got := strings.Join(v.missing, ","); got != "BenchmarkGone/sub,BenchmarkRenamed" {
+		t.Errorf("missing = %q, want the two baseline names the current run lacks", got)
+	}
+	if got := strings.Join(v.shared, ","); got != "BenchmarkKept" {
+		t.Errorf("shared = %q, want BenchmarkKept", got)
+	}
+	if len(v.regressed) != 0 {
+		t.Errorf("regressed = %v, want none", v.regressed)
+	}
+}
+
+func TestCompareFlagsRegressionPastLimit(t *testing.T) {
+	base := map[string]int64{"BenchmarkA": 1000, "BenchmarkB": 1000}
+	// The limit is 1000·1.10 + 64 = 1164.
+	cur := map[string]int64{"BenchmarkA": 1164, "BenchmarkB": 1165}
+	v := compare(base, cur, 0.10, 64)
+	if got := strings.Join(v.regressed, ","); got != "BenchmarkB" {
+		t.Errorf("regressed = %q, want BenchmarkB", got)
+	}
+	if len(v.shared) != 2 || len(v.missing) != 0 {
+		t.Errorf("shared = %v, missing = %v", v.shared, v.missing)
 	}
 }

@@ -53,7 +53,7 @@ func main() {
 		fmt.Printf("  [%4.0fs,%4.0fs) %s\n", p.Start, p.End, p.Label)
 	}
 
-	windows, err := combined.Windows(net, 10, duration)
+	windows, err := combined.WindowsCSRArena(context.Background(), nil, net, 10, duration)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 
 	// Show the flood window as the student would see it in-game.
 	floodWindow := windows[2]
-	fb, err := render.Matrix2D(floodWindow.Matrix, render.Matrix2DOptions{
+	fb, err := render.Matrix2D(floodWindow.Matrix.ToDense(), render.Matrix2DOptions{
 		Labels: net.Labels(),
 		Colors: zones.ColorMatrix(),
 		Title:  "The flood window, as a traffic matrix",

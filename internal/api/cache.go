@@ -20,9 +20,12 @@ type CacheStats struct {
 }
 
 // lruCache is the bounded result cache: a mutex-guarded map plus
-// recency list. Values are stored as-is and treated as immutable by
-// convention — Generate hands out shallow copies of the result
-// header, never mutating cached innards.
+// recency list. Values are stored as-is and never mutated. Generate
+// hands each caller a view (finishResult) that deep-copies every
+// mutable header field — labels, schedule, composition, aggregate
+// and per-window readings — and shares only the CSR matrices, which
+// nothing writes; Module and Campaign return the cached value itself,
+// which callers must treat as immutable.
 type lruCache struct {
 	mu        sync.Mutex
 	capacity  int

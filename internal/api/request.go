@@ -41,6 +41,14 @@ const (
 	// each factor still compose into ~10^18 events; the budget keeps
 	// the product itself at a size one server can hold in memory.
 	MaxEventBudget = 1e8
+	// MaxCellBudget bounds the dense cells one response carries: n²
+	// per grid on an n-host axis, summed over every grid. Measured on
+	// a 19-event run near the limit, a generate allocates about 100
+	// bytes per cell (203 MiB for 11 grids of 435 hosts), a module 85
+	// (162 MiB at 1,000 hosts) and a campaign 145 (272 MiB for 22
+	// grids of 300 hosts), so no request within it allocates more
+	// than about 300 MiB beyond what its events cost.
+	MaxCellBudget = 1 << 21
 )
 
 // GenerateRequest asks for a full scenario run: generation, optional
@@ -163,11 +171,35 @@ func (r GenerateRequest) validate() error {
 		return fmt.Errorf("%w: duration×rate×scale demands ~%.3g events (limit %g)",
 			ErrInvalidRequest, budget, float64(MaxEventBudget))
 	}
-	if r.Window > 0 {
-		if windows := p.Duration / r.Window; windows > MaxWindows {
-			return fmt.Errorf("%w: window %g splits the run into %.0f windows (limit %d)",
-				ErrInvalidRequest, r.Window, windows, MaxWindows)
-		}
+	windows := r.windows()
+	if windows > MaxWindows {
+		return fmt.Errorf("%w: window %g splits the run into %.0f windows (limit %d)",
+			ErrInvalidRequest, r.Window, windows, MaxWindows)
+	}
+	if r.IncludeMatrices {
+		// One grid per window plus the aggregate.
+		return checkCells("include_matrices", windows+1, r.Hosts)
+	}
+	return nil
+}
+
+// windows is the number of aggregation windows the request splits
+// its run into: 0 without a window.
+func (r GenerateRequest) windows() float64 {
+	if r.Window <= 0 {
+		return 0
+	}
+	return math.Ceil(r.params().Normalized().Duration / r.Window)
+}
+
+// checkCells rejects a response of grids dense n×n grids, n the
+// scaled network size, whose cells would exceed MaxCellBudget.
+// Callers run it before any work.
+func checkCells(what string, grids float64, hosts int) error {
+	n := float64(netsim.ScaledSize(hosts))
+	if cells := grids * n * n; cells > MaxCellBudget {
+		return fmt.Errorf("%w: %s would carry %.0f dense cells (%.0f grids of %.0f×%.0f), over the %d-cell budget",
+			ErrInvalidRequest, what, cells, grids, n, n, MaxCellBudget)
 	}
 	return nil
 }

@@ -544,6 +544,10 @@ func (svc *Service) Module(ctx context.Context, req ModuleRequest) (*core.Module
 	if err := gr.validate(); err != nil {
 		return nil, err
 	}
+	// A module carries two grids: traffic and colors.
+	if err := checkCells("module", 2, req.Hosts); err != nil {
+		return nil, err
+	}
 	scn, err := svc.resolveSpec(req.Spec)
 	if err != nil {
 		return nil, err
@@ -579,6 +583,10 @@ func (svc *Service) Campaign(ctx context.Context, req CampaignRequest) (*bridge.
 	}
 	gr := GenerateRequest{Spec: req.Spec, Hosts: req.Hosts, Duration: req.Duration, Rate: req.Rate, Scale: req.Scale, Window: req.Window}
 	if err := gr.validate(); err != nil {
+		return nil, err
+	}
+	// The overview and each window's module carry two grids apiece.
+	if err := checkCells("campaign", 2*(gr.windows()+1), req.Hosts); err != nil {
 		return nil, err
 	}
 	scn, err := svc.resolveSpec(req.Spec)

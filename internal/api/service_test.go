@@ -438,6 +438,44 @@ func TestGenerateRequestBounds(t *testing.T) {
 	}
 }
 
+// TestCellBudgetRejectsOversizedDenseOutput: a request whose dense
+// grids would exceed MaxCellBudget is an invalid request that names
+// the budget. The context is cancelled up front, so a request that
+// got past validation would fail with context.Canceled instead: the
+// check runs before any work.
+func TestCellBudgetRejectsOversizedDenseOutput(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	svc := New()
+	gen := GenerateRequest{Spec: "background", Hosts: MaxHosts, Duration: 10, Rate: 1, Window: 1, IncludeMatrices: true}
+	errs := map[string]error{}
+	_, errs["generate, 10 windows, include_matrices, 10,000 hosts"] = svc.Generate(ctx, gen)
+	errs["stream, 10 windows, include_matrices, 10,000 hosts"] = svc.GenerateStream(ctx, gen, func(StreamFrame) error { return nil })
+	_, errs["module, 10,000 hosts"] = svc.Module(ctx, ModuleRequest{Spec: "background", Hosts: MaxHosts})
+	_, errs["campaign, 10 windows, 1,000 hosts"] = svc.Campaign(ctx, CampaignRequest{Spec: "background", Hosts: 1000, Duration: 10, Window: 1})
+	for name, err := range errs {
+		if !errors.Is(err, ErrInvalidRequest) || !strings.Contains(err.Error(), "cell budget") {
+			t.Errorf("%s: err = %v, want ErrInvalidRequest naming the cell budget", name, err)
+		}
+	}
+}
+
+// TestCellBudgetAdmitsServedShapes: the budget counts only dense
+// grids, so the same 10,000-host generate without include_matrices
+// passes, and so does the lesson's largest generate (48 hosts, three
+// 15 s windows of the default 40 s run plus the aggregate, with
+// include_matrices).
+func TestCellBudgetAdmitsServedShapes(t *testing.T) {
+	for name, req := range map[string]GenerateRequest{
+		"10,000 hosts, 10 windows, no matrices": {Spec: "background", Hosts: MaxHosts, Duration: 10, Rate: 1, Window: 1},
+		"lesson":                                {Spec: "ddos", Hosts: 48, Window: 15, IncludeMatrices: true},
+	} {
+		if err := req.validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // TestAnalyzeTinyMatrixZones: the default zone layout stays within
 // the axis even for matrices too small to hold all three zones.
 func TestAnalyzeTinyMatrixZones(t *testing.T) {

@@ -5,28 +5,23 @@ import (
 	"testing"
 )
 
-func TestExtendedColorNames(t *testing.T) {
-	names := map[int]string{3: "green", 4: "yellow", 5: "purple", 6: "black"}
-	for code, want := range names {
-		if got := ColorName(code); got != want {
-			t.Errorf("ColorName(%d) = %q, want %q", code, got, want)
-		}
-	}
-}
-
 // TestExtendedColorsValidation: codes 3–5 warn on a classic module
 // but are clean when the module opts into extended colors; codes
 // beyond 5 warn in both modes.
 func TestExtendedColorsValidation(t *testing.T) {
+	for _, code := range []int{ColorGreen, ColorYellow, ColorPurple} {
+		m := validModule()
+		m.TrafficMatrixColors[0][0] = code
+		if len(m.Validate().Warnings()) == 0 {
+			t.Errorf("extended code %d on classic module did not warn", code)
+		}
+		m.ExtendedColors = true
+		if issues := m.Validate(); len(issues) != 0 {
+			t.Errorf("extended module with code %d warned:\n%s", code, issues)
+		}
+	}
 	m := validModule()
-	m.TrafficMatrixColors[0][0] = ColorGreen
-	if len(m.Validate().Warnings()) == 0 {
-		t.Error("extended code on classic module did not warn")
-	}
 	m.ExtendedColors = true
-	if issues := m.Validate(); len(issues) != 0 {
-		t.Errorf("extended module with green warned:\n%s", issues)
-	}
 	m.TrafficMatrixColors[0][0] = MaxExtendedColor + 1
 	if len(m.Validate().Warnings()) == 0 {
 		t.Error("out-of-range code on extended module did not warn")

@@ -41,27 +41,6 @@ const (
 // MaxExtendedColor is the largest code valid under extended colors.
 const MaxExtendedColor = ColorPurple
 
-// ColorName returns the human-readable name of a color code, or
-// "black" for unknown codes (matching the game's fallback material).
-func ColorName(c int) string {
-	switch c {
-	case ColorGrey:
-		return "grey"
-	case ColorBlue:
-		return "blue"
-	case ColorRed:
-		return "red"
-	case ColorGreen:
-		return "green"
-	case ColorYellow:
-		return "yellow"
-	case ColorPurple:
-		return "purple"
-	default:
-		return "black"
-	}
-}
-
 // MaxDisplayPackets is the display guidance from the paper: "through
 // testing it has been found that fewer than 15 packets between any
 // source and destination displays well." The validator warns above

@@ -205,15 +205,6 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	}
 }
 
-func TestColorName(t *testing.T) {
-	names := map[int]string{0: "grey", 1: "blue", 2: "red", 7: "black", -1: "black"}
-	for code, want := range names {
-		if got := ColorName(code); got != want {
-			t.Errorf("ColorName(%d) = %q, want %q", code, got, want)
-		}
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m, _ := ParseModule([]byte(paperExampleJSON))
 	data, err := EncodeModule(m)

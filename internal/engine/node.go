@@ -1,8 +1,8 @@
 // Package engine is the Godot substitute: a scene-tree micro-engine
 // with named, typed nodes, parent/child trees, Godot-style node
-// paths ("../Data"), signals, groups, export-variable property bags
-// with an Inspector, and the _ready/_process lifecycle driven by a
-// fixed-timestep loop.
+// paths ("../Data"), groups, signals (reached through GDScript's
+// emit_signal), export-variable property bags with an Inspector, and
+// the _ready/_process lifecycle driven by a fixed-timestep loop.
 //
 // The paper's implementation section is entirely scene-tree
 // mechanics — a controller script attached to a node resolves
@@ -13,7 +13,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -56,7 +55,7 @@ type Node struct {
 	children []*Node
 	behavior Behavior
 	props    *Props
-	signals  signalTable
+	signals  map[string][]SignalHandler
 	groups   map[string]bool
 	tree     *SceneTree
 	readied  bool
@@ -102,9 +101,6 @@ func (n *Node) SetBehavior(b Behavior) {
 		b.Ready(n)
 	}
 }
-
-// Behavior returns the attached script, or nil.
-func (n *Node) Behavior() Behavior { return n.behavior }
 
 // AddChild appends child to n. It panics when the child already has
 // a parent or the name collides with an existing child, matching
@@ -284,21 +280,8 @@ func (n *Node) Walk(fn func(*Node) bool) {
 // AddToGroup tags the node with a Godot-style group name.
 func (n *Node) AddToGroup(group string) { n.groups[group] = true }
 
-// RemoveFromGroup removes the tag.
-func (n *Node) RemoveFromGroup(group string) { delete(n.groups, group) }
-
 // IsInGroup reports whether the node carries the tag.
 func (n *Node) IsInGroup(group string) bool { return n.groups[group] }
-
-// Groups returns the node's groups, sorted.
-func (n *Node) Groups() []string {
-	out := make([]string, 0, len(n.groups))
-	for g := range n.groups {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // readyWalk runs Ready depth-first, children before parents, once
 // per node — Godot's _ready ordering.

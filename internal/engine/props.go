@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -149,17 +148,4 @@ func formatValue(v any) string {
 	default:
 		return fmt.Sprint(val)
 	}
-}
-
-// PropsSorted returns name/value rows sorted by name, useful in
-// tests that need deterministic comparison independent of
-// declaration order.
-func PropsSorted(p *Props) []string {
-	rows := make([]string, 0, p.Len())
-	for _, name := range p.Names() {
-		v, _ := p.Get(name)
-		rows = append(rows, fmt.Sprintf("%s=%s", name, formatValue(v)))
-	}
-	sort.Strings(rows)
-	return rows
 }

@@ -12,7 +12,6 @@ import (
 type SceneTree struct {
 	root    *Node
 	started bool
-	frame   int
 	elapsed float64
 }
 
@@ -32,12 +31,6 @@ func NewSceneTree(root *Node) *SceneTree {
 // Root returns the tree's root node.
 func (t *SceneTree) Root() *Node { return t.root }
 
-// Started reports whether Start has run.
-func (t *SceneTree) Started() bool { return t.started }
-
-// Frame returns the number of processed frames.
-func (t *SceneTree) Frame() int { return t.frame }
-
 // Elapsed returns the total simulated time in seconds.
 func (t *SceneTree) Elapsed() float64 { return t.elapsed }
 
@@ -56,7 +49,6 @@ func (t *SceneTree) Step(dt float64) {
 	if !t.started {
 		t.Start()
 	}
-	t.frame++
 	t.elapsed += dt
 	t.root.processWalk(dt)
 }
@@ -68,12 +60,3 @@ func (t *SceneTree) Run(frames int, dt float64) {
 		t.Step(dt)
 	}
 }
-
-// Instantiate clones a scene blueprint: a constructor function
-// returning a fresh subtree, the engine's analogue of Godot's
-// PackedScene.instantiate(). The constructor runs every call so
-// instances never share nodes.
-type PackedScene func() *Node
-
-// Instantiate builds a fresh instance of the scene.
-func (s PackedScene) Instantiate() *Node { return s() }

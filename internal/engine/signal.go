@@ -1,81 +1,34 @@
 package engine
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Signals are Godot's observer mechanism: a node emits a named
-// signal and every connected handler runs. The game uses them for UI
-// events ("toggle pallet color button … is called whenever the
-// toggle pallet color button is clicked").
+// signal and every connected handler runs. The game reaches them
+// through GDScript's emit_signal ("toggle pallet color button … is
+// called whenever the toggle pallet color button is clicked").
 
 // SignalHandler receives the emitting node and the emit arguments.
 type SignalHandler func(from *Node, args ...any)
 
-// connection pairs a handler with its registration id so it can be
-// disconnected.
-type connection struct {
-	id      int
-	handler SignalHandler
-}
-
-// signalTable stores a node's signal connections.
-type signalTable struct {
-	nextID int
-	conns  map[string][]connection
-}
-
-// Connect registers a handler for the named signal and returns a
-// token for Disconnect.
-func (n *Node) Connect(signal string, handler SignalHandler) int {
+// Connect registers a handler for the named signal.
+func (n *Node) Connect(signal string, handler SignalHandler) {
 	if handler == nil {
 		panic(fmt.Sprintf("engine: nil handler for signal %q", signal))
 	}
-	if n.signals.conns == nil {
-		n.signals.conns = make(map[string][]connection)
+	if n.signals == nil {
+		n.signals = make(map[string][]SignalHandler)
 	}
-	n.signals.nextID++
-	id := n.signals.nextID
-	n.signals.conns[signal] = append(n.signals.conns[signal], connection{id: id, handler: handler})
-	return id
-}
-
-// Disconnect removes a previously connected handler by token. It
-// returns false when the token is unknown.
-func (n *Node) Disconnect(signal string, id int) bool {
-	conns := n.signals.conns[signal]
-	for i, c := range conns {
-		if c.id == id {
-			n.signals.conns[signal] = append(conns[:i], conns[i+1:]...)
-			return true
-		}
-	}
-	return false
+	n.signals[signal] = append(n.signals[signal], handler)
 }
 
 // Emit fires the named signal, invoking handlers in connection
 // order. It returns the number of handlers run.
 func (n *Node) Emit(signal string, args ...any) int {
-	conns := n.signals.conns[signal]
-	// Copy first: a handler may connect/disconnect while running.
-	snapshot := make([]connection, len(conns))
-	copy(snapshot, conns)
-	for _, c := range snapshot {
-		c.handler(n, args...)
+	// range reads the slice once, so a handler that connects while
+	// running adds one for the next emission, not this one.
+	handlers := n.signals[signal]
+	for _, h := range handlers {
+		h(n, args...)
 	}
-	return len(snapshot)
-}
-
-// SignalNames returns the signals with at least one connection,
-// sorted.
-func (n *Node) SignalNames() []string {
-	out := make([]string, 0, len(n.signals.conns))
-	for s, conns := range n.signals.conns {
-		if len(conns) > 0 {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return len(handlers)
 }

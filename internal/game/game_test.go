@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/render"
 )
 
@@ -430,22 +429,5 @@ func TestTrainingModuleValid(t *testing.T) {
 	// SRV1 (col 2) is 3 packets, answers[2] = "3".
 	if m.TrafficMatrix[4][2] != 3 || m.Answers[m.CorrectAnswerElement] != "3" {
 		t.Error("training question inconsistent with matrix")
-	}
-}
-
-func TestScenePalletAt(t *testing.T) {
-	module := TrainingModule()
-	root, err := BuildLevelScene(module)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.NewSceneTree(root).Start()
-	n, _ := module.Dim()
-	p, err := PalletAt(root, n, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != "Pallet_2_3" {
-		t.Errorf("PalletAt = %s", p.Name())
 	}
 }

@@ -94,7 +94,6 @@ const (
 	NodeBoxes      = "Boxes"
 	NodeCamera     = "Camera3D"
 	NodeUI         = "UI"
-	NodeTraining   = "TrainingGuide"
 )
 
 // BuildLevelScene constructs the scene tree of a standard level for
@@ -193,15 +192,6 @@ func levelRootName(m *core.Module) string {
 		return "TrainingLevel"
 	}
 	return "Level"
-}
-
-// PalletAt returns the pallet node for cell (i,j) in an n×n level.
-func PalletAt(root *engine.Node, n, i, j int) (*engine.Node, error) {
-	pallets, err := root.GetNode(NodePallets)
-	if err != nil {
-		return nil, err
-	}
-	return pallets.Child(i*n + j)
 }
 
 // AxisLabelTexts reads back the label texts of an axis node, in

@@ -65,9 +65,6 @@ func NewInstance(script *Script, node *engine.Node) (*Instance, error) {
 	return in, nil
 }
 
-// Node returns the bound node, or nil.
-func (in *Instance) Node() *engine.Node { return in.node }
-
 // Ready evaluates @onready initializers and then runs _ready when
 // defined: the engine's enter-tree sequence.
 func (in *Instance) Ready() error {

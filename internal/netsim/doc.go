@@ -91,8 +91,8 @@
 // the arena:
 //
 //   - GenerateTraceArena materializes the sorted event trace; the
-//     dense views (Windows, Matrix, Assoc, Between) and the sparse
-//     ones (Trace.WindowsCSRArena, Trace.SparseMatrixArena) read it.
+//     dense views (Matrix, Assoc, Between) and the sparse ones
+//     (Trace.WindowsCSRArena, Trace.SparseMatrixArena) read it.
 //   - GenerateCSRArena folds the run straight into the aggregate CSR
 //     without building a trace: it is StreamCSRArena's fold run with
 //     no windows.

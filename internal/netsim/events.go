@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/matrix"
@@ -104,49 +103,4 @@ func (t Trace) SparseMatrixArena(a *Arena, net *Network) (*matrix.CSR, int) {
 	csr := c.ToCSR()
 	c.Release()
 	return csr, dropped
-}
-
-// Window is one aggregation interval with its traffic matrix.
-type Window struct {
-	// Start and End bound the interval [Start,End); the final window
-	// of a run additionally covers an event at exactly the horizon.
-	Start, End float64
-	// Matrix is the aggregated traffic.
-	Matrix *matrix.Dense
-	// Events is the number of events in the window, including events
-	// naming hosts outside the network axis.
-	Events int
-	// Dropped is the packet volume of the window's events that name
-	// hosts outside the network axis and so appear nowhere in Matrix.
-	Dropped int
-}
-
-// Windows splits the trace into ⌈horizon/windowLen⌉ fixed-length
-// aggregation windows starting at 0 — the streaming-analysis view
-// ("spatial temporal analysis" in the paper's references). A horizon
-// of 0 uses the trace duration rounded up to a whole window. An
-// event at exactly the horizon lands in the final window, so a trace
-// whose last event falls on a window boundary loses nothing; only
-// events beyond the last window's end are excluded.
-//
-// Windows is a thin dense adapter over WindowsCSRArena: the trace
-// is folded sparsely in a single pass and each window densifies only
-// at the end, so the two views are cell-for-cell identical by
-// construction.
-func (t Trace) Windows(net *Network, windowLen, horizon float64) ([]Window, error) {
-	sparse, err := t.WindowsCSRArena(context.TODO(), nil, net, windowLen, horizon)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Window, len(sparse))
-	for i, w := range sparse {
-		out[i] = Window{
-			Start:   w.Start,
-			End:     w.End,
-			Matrix:  w.Matrix.ToDense(),
-			Events:  w.Events,
-			Dropped: w.Dropped,
-		}
-	}
-	return out, nil
 }

@@ -129,7 +129,7 @@ func TestWindows(t *testing.T) {
 		{Time: 11, Src: "WS2", Dst: "SRV1", Packets: 2},
 		{Time: 21, Src: "WS3", Dst: "SRV1", Packets: 3},
 	}
-	windows, err := trace.Windows(net, 10, 30)
+	windows, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestWindows(t *testing.T) {
 			t.Errorf("window %d: events=%d sum=%d", i, w.Events, w.Matrix.Sum())
 		}
 	}
-	if _, err := trace.Windows(net, 0, 10); err == nil {
+	if _, err := trace.WindowsCSRArena(context.Background(), nil, net, 0, 10); err == nil {
 		t.Error("zero window accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestWindows(t *testing.T) {
 func TestWindowsDefaultHorizon(t *testing.T) {
 	net := StandardNetwork()
 	trace := Trace{{Time: 15, Src: "WS1", Dst: "SRV1", Packets: 1}}
-	windows, err := trace.Windows(net, 10, 0)
+	windows, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,14 @@ import (
 	"repro/internal/matrix"
 )
 
-// The sparse trace window engine. The historical dense Windows
+// The sparse trace window engine. The historical dense windowing
 // re-scanned the whole trace once per window (O(W·E)) and
 // materialized an n² Dense for every interval; WindowsCSRArena folds
 // the trace into per-window COO shards in a single pass (O(E)) and
 // compacts each shard to CSR in parallel by a counting sort, so the
 // spatial-temporal view costs O(E + W·n) no matter how the events
-// fall across the windows. Windows (events.go) densifies this result.
+// fall across the windows. A caller that wants a dense window calls
+// ToDense on its Matrix.
 
 // SparseWindow is one aggregation interval with its traffic matrix
 // in CSR form.

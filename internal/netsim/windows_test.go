@@ -4,9 +4,17 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
+
+	"repro/internal/matrix"
 )
+
+// denseWindow is one reference window with its matrix held dense.
+type denseWindow struct {
+	Start, End      float64
+	Matrix          *matrix.Dense
+	Events, Dropped int
+}
 
 // windowsDenseReference is an independent from-scratch implementation
 // of the fixed windowing contract, kept deliberately naive (one
@@ -17,7 +25,7 @@ import (
 // last one short, matching the historical dense behaviour — except
 // that the final window also takes an event at exactly the horizon
 // (the final-boundary fix).
-func windowsDenseReference(t Trace, net *Network, windowLen, horizon float64) []Window {
+func windowsDenseReference(t Trace, net *Network, windowLen, horizon float64) []denseWindow {
 	if horizon <= 0 {
 		horizon = t.Duration()
 		if horizon == 0 {
@@ -28,7 +36,7 @@ func windowsDenseReference(t Trace, net *Network, windowLen, horizon float64) []
 	if nw < 1 {
 		nw = 1
 	}
-	out := make([]Window, nw)
+	out := make([]denseWindow, nw)
 	for k := 0; k < nw; k++ {
 		start := float64(k) * windowLen
 		end := start + windowLen
@@ -46,7 +54,7 @@ func windowsDenseReference(t Trace, net *Network, windowLen, horizon float64) []
 			}
 		}
 		m, dropped := sub.Matrix(net)
-		out[k] = Window{Start: start, End: end, Matrix: m, Events: len(sub), Dropped: dropped}
+		out[k] = denseWindow{Start: start, End: end, Matrix: m, Events: len(sub), Dropped: dropped}
 	}
 	return out
 }
@@ -63,7 +71,7 @@ func TestWindowsKeepsFinalBoundaryEvent(t *testing.T) {
 			{Time: 10, Src: "WS2", Dst: "SRV1", Packets: 2},
 			{Time: 20, Src: "WS3", Dst: "SRV1", Packets: 4},
 		}
-		windows, err := trace.Windows(net, 10, 0)
+		windows, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +95,7 @@ func TestWindowsKeepsFinalBoundaryEvent(t *testing.T) {
 			{Time: 0, Src: "WS1", Dst: "SRV1", Packets: 1},
 			{Time: 15, Src: "WS2", Dst: "SRV1", Packets: 2},
 		}
-		windows, err := trace.Windows(net, 10, 0)
+		windows, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +139,7 @@ func TestWindowsSurfacesDropped(t *testing.T) {
 		{Time: 2, Src: "GHOST", Dst: "SRV1", Packets: 7},
 		{Time: 12, Src: "WS1", Dst: "PHANTOM", Packets: 3},
 	}
-	windows, err := trace.Windows(net, 10, 20)
+	windows, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestWindowsFullFinalWindowOnTruncatingHorizon(t *testing.T) {
 		{Time: 27, Src: "WS2", Dst: "SRV1", Packets: 2}, // past horizon 25, inside [20,30)
 		{Time: 31, Src: "WS3", Dst: "SRV1", Packets: 4}, // past the last window's end
 	}
-	windows, err := trace.Windows(net, 10, 25)
+	windows, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +204,8 @@ func TestWindowsCSRRejectsBadInput(t *testing.T) {
 }
 
 // sparseEqualsDense asserts a SparseWindow slice is cell-for-cell
-// identical to a dense Window slice.
-func sparseEqualsDense(t *testing.T, label string, sparse []SparseWindow, dense []Window) {
+// identical to a dense reference slice.
+func sparseEqualsDense(t *testing.T, label string, sparse []SparseWindow, dense []denseWindow) {
 	t.Helper()
 	if len(sparse) != len(dense) {
 		t.Fatalf("%s: %d sparse windows vs %d dense", label, len(sparse), len(dense))
@@ -243,14 +251,6 @@ func TestCatalogWindowingParity(t *testing.T) {
 					want := windowsDenseReference(trace, net, cfg.windowLen, cfg.horiz)
 					label := cfg.name
 					sparseEqualsDense(t, label, sparse, want)
-					// The public dense adapter must agree with both.
-					adapter, err := trace.Windows(net, cfg.windowLen, cfg.horiz)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(adapter, want) {
-						t.Errorf("%s: Windows adapter differs from dense reference", label)
-					}
 				}
 			}
 		})
@@ -309,13 +309,13 @@ func benchTrace(b *testing.B, hosts, scale int) (Trace, *Network) {
 // legacyWindows reproduces the pre-rewrite O(W·E) densifying loop
 // (one Between scan plus one n² Dense per window) so the benchmark
 // records what the single-pass engine replaced.
-func legacyWindows(t Trace, net *Network, windowLen, horizon float64) []Window {
-	var out []Window
+func legacyWindows(t Trace, net *Network, windowLen, horizon float64) []denseWindow {
+	var out []denseWindow
 	for start := 0.0; start < horizon; start += windowLen {
 		end := start + windowLen
 		sub := t.Between(start, end)
 		m, _ := sub.Matrix(net)
-		out = append(out, Window{Start: start, End: end, Matrix: m, Events: len(sub)})
+		out = append(out, denseWindow{Start: start, End: end, Matrix: m, Events: len(sub)})
 	}
 	return out
 }

@@ -9,25 +9,9 @@ import (
 
 // The paper suggests harder exercises where stage patterns are
 // "combined together or potentially mixed in with random background
-// noise for a student to analyze". Compose and AddNoise build those
-// exercises deterministically from a seeded generator.
-
-// Compose sums any number of pattern matrices into one combined
-// scene. All matrices must share the same shape.
-func Compose(ms ...*matrix.Dense) (*matrix.Dense, error) {
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("patterns: compose needs at least one matrix")
-	}
-	total := ms[0].Clone()
-	for _, m := range ms[1:] {
-		var err error
-		total, err = total.AddMatrix(m)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return total, nil
-}
+// noise for a student to analyze". AddNoise builds those exercises
+// deterministically from a seeded generator; Dense.AddMatrix combines
+// the stages.
 
 // AddNoise returns a copy of m with background traffic added to up
 // to cells randomly chosen empty off-diagonal positions, each given a

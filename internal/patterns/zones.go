@@ -98,12 +98,6 @@ func (z Zones) Indices(zone Zone) (start, end int) {
 	}
 }
 
-// Count returns the number of indices in the zone.
-func (z Zones) Count(zone Zone) int {
-	s, e := z.Indices(zone)
-	return e - s
-}
-
 // ColorMatrix builds the module color matrix the paper's examples
 // use: cells where blue hosts meet red space are painted red (the
 // threat axis), cells where red hosts meet blue space are painted

@@ -80,18 +80,6 @@ func (f *Framebuffer) DrawText(x, y int, s string, fg voxel.RGB, hasFG, bold boo
 	}
 }
 
-// FillBG paints the background of the inclusive rectangle.
-func (f *Framebuffer) FillBG(x0, y0, x1, y1 int, bg voxel.RGB) {
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			cell := f.At(x, y)
-			cell.BG = bg
-			cell.HasBG = true
-			f.Set(x, y, cell)
-		}
-	}
-}
-
 // Text renders the framebuffer as plain text lines, trimming
 // trailing spaces on each line.
 func (f *Framebuffer) Text() string {

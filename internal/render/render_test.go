@@ -49,14 +49,6 @@ func TestFramebufferDrawTextClips(t *testing.T) {
 	}
 }
 
-func TestFillBG(t *testing.T) {
-	fb := NewFramebuffer(3, 3)
-	fb.FillBG(0, 0, 1, 1, voxel.RGB{R: 10})
-	if !fb.At(1, 1).HasBG || fb.At(2, 2).HasBG {
-		t.Error("FillBG region wrong")
-	}
-}
-
 func TestANSIContainsCodes(t *testing.T) {
 	plainText(t)
 	fb := NewFramebuffer(2, 1)

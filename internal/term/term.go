@@ -135,9 +135,6 @@ func SetEnabled(on bool) (previous bool) {
 	return previous
 }
 
-// Enabled reports whether ANSI output is currently enabled.
-func Enabled() bool { return enabled }
-
 // Strip removes all ANSI escape sequences (CSI sequences) from s.
 func Strip(s string) string {
 	var b strings.Builder
@@ -175,25 +172,4 @@ func Pad(s string, width int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", width-n)
-}
-
-// PadLeft left-pads s with spaces to the given visible width.
-func PadLeft(s string, width int) string {
-	n := VisibleLen(s)
-	if n >= width {
-		return s
-	}
-	return strings.Repeat(" ", width-n) + s
-}
-
-// Center pads s on both sides to the given visible width, biasing the
-// extra space to the right.
-func Center(s string, width int) string {
-	n := VisibleLen(s)
-	if n >= width {
-		return s
-	}
-	left := (width - n) / 2
-	right := width - n - left
-	return strings.Repeat(" ", left) + s + strings.Repeat(" ", right)
 }

@@ -115,20 +115,9 @@ func TestPadding(t *testing.T) {
 	if got := Pad("ab", 5); got != "ab   " {
 		t.Errorf("Pad = %q", got)
 	}
-	if got := PadLeft("ab", 5); got != "   ab" {
-		t.Errorf("PadLeft = %q", got)
-	}
-	if got := Center("ab", 6); got != "  ab  " {
-		t.Errorf("Center = %q", got)
-	}
-	if got := Center("ab", 5); got != " ab  " {
-		t.Errorf("Center odd = %q", got)
-	}
 	// Strings wider than the target come back unchanged.
-	for _, f := range []func(string, int) string{Pad, PadLeft, Center} {
-		if got := f("abcdef", 3); got != "abcdef" {
-			t.Errorf("wide string changed: %q", got)
-		}
+	if got := Pad("abcdef", 3); got != "abcdef" {
+		t.Errorf("wide string changed: %q", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package voxel is the MagicaVoxel substitute: LEGO-style voxel
 // models with paint-by-voxel coloring, simple palettes, face-culled
-// and greedily-merged mesh generation, Wavefront OBJ/MTL export (the
-// interchange format Table II requires), and a compact binary codec.
+// and greedily-merged mesh generation, and Wavefront OBJ/MTL export
+// (the interchange format Table II requires).
 //
 // Models use a right-handed grid: X is width, Y is height (up), and Z
 // is depth. Each cell stores a palette index; index 0 is empty.
@@ -34,9 +34,6 @@ func (m *Model) Size() (w, h, d int) { return m.w, m.h, m.d }
 // Palette returns the model's palette.
 func (m *Model) Palette() Palette { return m.palette }
 
-// SetPalette replaces the model's palette.
-func (m *Model) SetPalette(p Palette) { m.palette = p }
-
 // InBounds reports whether (x,y,z) is inside the grid.
 func (m *Model) InBounds(x, y, z int) bool {
 	return x >= 0 && x < m.w && y >= 0 && y < m.h && z >= 0 && z < m.d
@@ -64,9 +61,6 @@ func (m *Model) At(x, y, z int) uint8 {
 func (m *Model) Set(x, y, z int, color uint8) {
 	m.cells[m.index(x, y, z)] = color
 }
-
-// Clear removes the voxel at (x,y,z).
-func (m *Model) Clear(x, y, z int) { m.Set(x, y, z, Empty) }
 
 // Fill sets every cell in the inclusive box [x0,x1]×[y0,y1]×[z0,z1].
 func (m *Model) Fill(x0, y0, z0, x1, y1, z1 int, color uint8) {
@@ -110,16 +104,6 @@ func (m *Model) Equal(o *Model) bool {
 		}
 	}
 	return true
-}
-
-// Repaint replaces every voxel of index from with index to: the
-// mechanism behind the game's pallet material swap.
-func (m *Model) Repaint(from, to uint8) {
-	for i, c := range m.cells {
-		if c == from {
-			m.cells[i] = to
-		}
-	}
 }
 
 // Bounds returns the tight bounding box of non-empty voxels as

@@ -1,14 +1,9 @@
 package voxel
 
-import "fmt"
-
 // RGB is a 24-bit color.
 type RGB struct {
 	R, G, B uint8
 }
-
-// Hex renders the color as "#rrggbb".
-func (c RGB) Hex() string { return fmt.Sprintf("#%02x%02x%02x", c.R, c.G, c.B) }
 
 // paletteSize keeps palettes small and consistent: "a limited color
 // palette" is part of the paper's recipe for letting a broad audience

@@ -16,10 +16,6 @@ func TestModelSetAtClear(t *testing.T) {
 	if m.At(1, 2, 3) != PaintRed {
 		t.Error("Set/At wrong")
 	}
-	m.Clear(1, 2, 3)
-	if m.At(1, 2, 3) != Empty {
-		t.Error("Clear failed")
-	}
 }
 
 func TestModelAtOutOfBoundsIsEmpty(t *testing.T) {
@@ -54,9 +50,9 @@ func TestCloneEqualRepaint(t *testing.T) {
 	if !m.Equal(c) {
 		t.Error("clone differs")
 	}
-	c.Repaint(PaintBlue, PaintRed)
-	if m.Equal(c) || c.At(0, 0, 0) != PaintRed {
-		t.Error("repaint wrong or aliased")
+	c.Set(0, 0, 0, PaintRed)
+	if m.Equal(c) || m.At(0, 0, 0) != PaintBlue {
+		t.Error("clone aliases its source")
 	}
 }
 
@@ -79,12 +75,6 @@ func TestMaterialForColorCode(t *testing.T) {
 		if got := MaterialForColorCode(code); got != want {
 			t.Errorf("MaterialForColorCode(%d) = %d, want %d", code, got, want)
 		}
-	}
-}
-
-func TestPaletteHex(t *testing.T) {
-	if got := (RGB{R: 255, G: 0, B: 16}).Hex(); got != "#ff0010" {
-		t.Errorf("Hex = %q", got)
 	}
 }
 
@@ -211,65 +201,6 @@ func TestOBJExportStructure(t *testing.T) {
 // fmtSscanf isolates the fmt dependency for face parsing.
 func fmtSscanf(line string, a, b, c, d *int) (int, error) {
 	return sscanf(line, a, b, c, d)
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	for name, m := range BuiltinAssets() {
-		var buf bytes.Buffer
-		if err := Encode(&buf, m); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		back, err := Decode(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !m.Equal(back) {
-			t.Errorf("%s: codec round trip changed the model", name)
-		}
-	}
-}
-
-func TestCodecRoundTripRandomProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 25; trial++ {
-		m := New(1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6))
-		w, h, d := m.Size()
-		for k := 0; k < rng.Intn(30); k++ {
-			m.Set(rng.Intn(w), rng.Intn(h), rng.Intn(d), uint8(rng.Intn(16)))
-		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		back, err := Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Equal(back) {
-			t.Fatalf("trial %d: round trip mismatch", trial)
-		}
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, Box()); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    append([]byte("XXXX"), good[4:]...),
-		"truncated":    good[:len(good)/2],
-		"trailing":     append(append([]byte{}, good...), 0xff),
-		"short header": good[:6],
-	}
-	for name, data := range cases {
-		if _, err := Decode(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
 }
 
 func TestAnimation(t *testing.T) {
